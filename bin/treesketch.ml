@@ -982,95 +982,42 @@ let verify_cmd =
       & info [ "q"; "quiet" ] ~doc:"Report only corrupt files on stderr.")
   in
   let run paths quiet =
-    (* the same verification cores the serving side runs — snapshot
-       scrub (CRC trailer(s), full parse, Synopsis.validate, every
-       ladder tier), WAL replay scanning, and the manifest/delta load
-       path — so an offline `verify` and an online SCRUB or a restart's
+    (* [Scrub.verify_path] is the dispatcher the serving scrubber runs,
+       so an offline `verify` and an online SCRUB or a restart's
        recovery can never disagree about what counts as corrupt *)
-    let bad = ref 0 in
-    let corrupt path fault =
-      incr bad;
-      Printf.eprintf "corrupt %s: %s\n" path (Xmldoc.Fault.to_string fault)
+    let ok_line path = function
+      | Serve.Scrub.Snapshot i ->
+        Printf.sprintf "ok %s bytes=%d crc=%s fp=%s tiers=%d" path i.v_bytes
+          i.v_crc i.v_fp i.v_tiers
+      | Serve.Scrub.Wal_log { records; torn } ->
+        Printf.sprintf "ok %s records=%d torn=%b" path records torn
+      | Serve.Scrub.Manifest { flushed; levels; tombs } ->
+        Printf.sprintf "ok %s flushed=%d levels=%d tombs=%d" path flushed
+          levels tombs
+      | Serve.Scrub.Delta { gen; records; bytes } ->
+        Printf.sprintf "ok %s gen=%d records=%d bytes=%d" path gen records bytes
+      | Serve.Scrub.Orphan i ->
+        Printf.sprintf "ok %s orphan=true bytes=%d crc=%s" path i.v_bytes
+          i.v_crc
     in
-    let verify_one path =
-      let dir = Filename.dirname path in
-      let base = Filename.basename path in
-      match Serve.Wal.wal_name base with
-      | Some _ -> (
-        (* exactly what startup recovery sees: the intact prefix must
-           scan frame-by-frame; a torn tail is a normal crash artifact
-           replay truncates, so it is reported but passes *)
-        match Serve.Wal.scan path with
-        | Ok (records, torn) ->
-          if not quiet then
-            Printf.printf "ok %s records=%d torn=%b\n" path
-              (List.length records) torn
-        | Error fault -> corrupt path fault)
-      | None -> (
-        match Serve.Ingest.manifest_name base with
-        | Some name -> (
-          (* manifest CRC trailer and grammar, then every delta it
-             lists against its per-level crc — the files a restart
-             would load *)
-          match Serve.Ingest.read_manifest ~dir ~name () with
-          | Error fault -> corrupt path fault
-          | Ok m ->
-            let rotten = ref false in
+    let bad =
+      List.fold_left
+        (fun bad path ->
+          match Serve.Scrub.verify_path path with
+          | Ok verdict ->
+            if not quiet then print_endline (ok_line path verdict);
+            bad
+          | Error faults ->
             List.iter
-              (fun (e : Serve.Ingest.level_info) ->
-                match Serve.Ingest.load_level ~dir e with
-                | Ok _ -> ()
-                | Error fault ->
-                  rotten := true;
-                  corrupt (Filename.concat dir e.file) fault)
-              m.entries;
-            if not !rotten && not quiet then
-              Printf.printf "ok %s flushed=%d levels=%d tombs=%d\n" path
-                m.flushed (List.length m.entries)
-                (List.fold_left
-                   (fun n (e : Serve.Ingest.level_info) ->
-                     n + List.length e.tombs)
-                   0 m.entries))
-        | None -> (
-          match Serve.Ingest.level_name base with
-          | Some (name, gen) -> (
-            match Serve.Ingest.read_manifest ~dir ~name () with
-            | Error fault -> corrupt path fault
-            | Ok m -> (
-              match
-                List.find_opt
-                  (fun (e : Serve.Ingest.level_info) -> e.gen = gen)
-                  m.entries
-              with
-              | Some e -> (
-                (* referenced: bytes must match the manifest's crc *)
-                match Serve.Ingest.load_level ~dir e with
-                | Ok _ ->
-                  if not quiet then
-                    Printf.printf "ok %s gen=%d records=%d bytes=%d\n" path
-                      gen e.records e.bytes
-                | Error fault -> corrupt path fault)
-              | None -> (
-                (* unreferenced: a crash orphan the sweeper will
-                   collect — replay ignores it, but it must still be a
-                   well-formed snapshot to pass an fsck *)
-                match Serve.Scrub.verify_file path with
-                | Ok (info : Serve.Scrub.info) ->
-                  if not quiet then
-                    Printf.printf "ok %s orphan=true bytes=%d crc=%s\n" path
-                      info.v_bytes info.v_crc
-                | Error fault -> corrupt path fault)))
-          | None -> (
-            match Serve.Scrub.verify_file path with
-            | Ok (info : Serve.Scrub.info) ->
-              if not quiet then
-                Printf.printf "ok %s bytes=%d crc=%s fp=%s tiers=%d\n" path
-                  info.v_bytes info.v_crc info.v_fp info.v_tiers
-            | Error fault -> corrupt path fault)))
+              (fun (file, fault) ->
+                Printf.eprintf "corrupt %s: %s\n" file
+                  (Xmldoc.Fault.to_string fault))
+              faults;
+            bad + 1)
+        0 paths
     in
-    List.iter verify_one paths;
-    if !bad > 0 then begin
-      Printf.eprintf "verify: %d of %d file(s) corrupt\n" !bad
+    if bad > 0 then begin
+      Printf.eprintf "verify: %d of %d file(s) corrupt\n" bad
         (List.length paths);
       (* fsck convention: corruption found is exit 3, distinct from the
          cli-error and fault-taxonomy codes of the other subcommands *)
@@ -1081,9 +1028,9 @@ let verify_cmd =
     [
       `S Manpage.s_exit_status;
       `P
-        "$(b,0) every snapshot verified clean; $(b,3) at least one \
-         snapshot failed verification (fsck convention — note this \
-         differs from the fault-taxonomy codes of the other \
+        "$(b,0) every file verified clean; $(b,3) at least one file \
+         failed verification or could not be read (fsck convention — \
+         note this differs from the fault-taxonomy codes of the other \
          subcommands); $(b,124) usage error.";
     ]
   in

@@ -446,79 +446,22 @@ let of_any_string_res ?limits text =
     Result.map (fun tiers -> Ladder tiers) (of_ladder_string_res ?limits text)
   else Result.map (fun s -> Single s) (of_string_res ?limits text)
 
-let load_gen of_string ~limits path =
-  match
-    Xmldoc.Io_fault.tap_retrying Xmldoc.Io_fault.Open ~path;
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let len = in_channel_length ic in
-        if len > limits.Xmldoc.Limits.max_bytes then
-          Error
-            (Xmldoc.Fault.Limit_exceeded
-               { what = "bytes"; actual = len; limit = limits.max_bytes })
-        else begin
-          Xmldoc.Io_fault.tap_retrying Xmldoc.Io_fault.Read ~path;
-          (* an injected short read observes a prefix of the snapshot:
-             the checksum trailer must reject it as [Corrupt_synopsis],
-             never load it partially *)
-          of_string ~limits
-            (really_input_string ic (Xmldoc.Io_fault.cap Xmldoc.Io_fault.Read ~path len))
-        end)
-  with
-  | Ok s -> Ok s
-  | Error f -> Error (Xmldoc.Fault.with_path path f)
-  | exception Sys_error message -> Error (Xmldoc.Fault.Io_error { path; message })
-  | exception End_of_file ->
-    Error (Xmldoc.Fault.Io_error { path; message = "unexpected end of file" })
-  | exception Unix.Unix_error (e, fn, _) ->
-    Error
-      (Xmldoc.Fault.Io_error { path; message = fn ^ ": " ^ Unix.error_message e })
-
-(* The raw bytes of a snapshot file, through the same fault taps and
-   byte bound as [load_gen] — what the scrubber and the peer-repair
+(* The raw bytes of a snapshot file through the shared bounded read —
+   what [load_gen] parses and what the scrubber and the peer-repair
    FETCH path hash and stream.  A short (torn) read returns a prefix;
    the caller's checksum verification rejects it. *)
-let load_raw_res ?(limits = Xmldoc.Limits.default) path =
-  match
-    Xmldoc.Io_fault.tap_retrying Xmldoc.Io_fault.Open ~path;
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let len = in_channel_length ic in
-        if len > limits.Xmldoc.Limits.max_bytes then
-          Error
-            (Xmldoc.Fault.Limit_exceeded
-               { what = "bytes"; actual = len; limit = limits.max_bytes })
-        else begin
-          Xmldoc.Io_fault.tap_retrying Xmldoc.Io_fault.Read ~path;
-          Ok
-            (really_input_string ic
-               (Xmldoc.Io_fault.cap Xmldoc.Io_fault.Read ~path len))
-        end)
-  with
-  | Ok s -> Ok s
-  | Error f -> Error (Xmldoc.Fault.with_path path f)
-  | exception Sys_error message -> Error (Xmldoc.Fault.Io_error { path; message })
-  | exception End_of_file ->
-    Error (Xmldoc.Fault.Io_error { path; message = "unexpected end of file" })
-  | exception Unix.Unix_error (e, fn, _) ->
-    Error
-      (Xmldoc.Fault.Io_error { path; message = fn ^ ": " ^ Unix.error_message e })
+let load_raw_res ?limits path =
+  Result.map_error (Xmldoc.Fault.with_path path)
+    (Xmldoc.Io_fault.read_file ?limits path)
 
-let load_res ?(limits = Xmldoc.Limits.default) path =
-  load_gen (fun ~limits text -> of_string_res ~limits text) ~limits path
+let load_gen of_string ?limits path =
+  Result.bind (load_raw_res ?limits path) (fun text ->
+      Result.map_error (Xmldoc.Fault.with_path path) (of_string ?limits text))
 
-let load_meta_res ?(limits = Xmldoc.Limits.default) path =
-  load_gen (fun ~limits text -> of_string_meta_res ~limits text) ~limits path
-
-let load_ladder_res ?(limits = Xmldoc.Limits.default) path =
-  load_gen (fun ~limits text -> of_ladder_string_res ~limits text) ~limits path
-
-let load_any_res ?(limits = Xmldoc.Limits.default) path =
-  load_gen (fun ~limits text -> of_any_string_res ~limits text) ~limits path
+let load_res ?limits path = load_gen of_string_res ?limits path
+let load_meta_res ?limits path = load_gen of_string_meta_res ?limits path
+let load_ladder_res ?limits path = load_gen of_ladder_string_res ?limits path
+let load_any_res ?limits path = load_gen of_any_string_res ?limits path
 
 let load ?limits path =
   match load_res ?limits path with

@@ -51,6 +51,11 @@
 val save : string -> Synopsis.t -> unit
 (** Write the synopsis to a file (version 1, non-atomic). *)
 
+val with_crc : string -> string
+(** [body] sealed with the [crc <8-hex>] trailer line (CRC-32 of
+    [body]) that ends version-2/3 snapshots, the ladder manifest and the
+    level manifest. *)
+
 val save_atomic :
   ?meta:(string * string) list -> string -> Synopsis.t -> (unit, Xmldoc.Fault.t) result
 (** Crash-safe snapshot write (version 2, or version 3 when [meta] is
@@ -72,10 +77,11 @@ val write_atomic : string -> string -> (unit, Xmldoc.Fault.t) result
 
 val load_raw_res :
   ?limits:Xmldoc.Limits.t -> string -> (string, Xmldoc.Fault.t) result
-(** The file's raw bytes, through the same fault-injection taps and
-    [max_bytes] bound as {!load_res} but with {e no} parsing — what
-    integrity scrubbing and peer repair hash and stream.  A torn read
-    surfaces as a content prefix; callers verify checksums. *)
+(** The file's raw bytes through {!Xmldoc.Io_fault.read_file} (the same
+    taps and [max_bytes] bound as {!load_res}), path-tagged like it, but
+    with {e no} parsing — what integrity scrubbing and peer repair hash
+    and stream.  A torn read surfaces as a content prefix; callers
+    verify checksums. *)
 
 val load_res : ?limits:Xmldoc.Limits.t -> string -> (Synopsis.t, Xmldoc.Fault.t) result
 (** Read and validate a synopsis, accepting either format version.

@@ -177,19 +177,11 @@ let refresh ?(force = false) t =
                 match known with None -> true | Some e -> changed e st)
             in
             if needs_load then begin
-              (* Raw bytes first, then parse the same bytes: the content
-                 hash must cover exactly what was validated, so a replica
+              (* The scrubber's own verifier: the content hash covers
+                 exactly the bytes that were validated, so a replica
                  group can compare hashes to detect divergence. *)
-              let load_result =
-                match Sketch.Serialize.load_raw_res ~limits:t.limits path with
-                | Error fault -> Error fault
-                | Ok raw -> (
-                  match Sketch.Serialize.of_any_string_res ~limits:t.limits raw with
-                  | Error fault -> Error (Xmldoc.Fault.with_path path fault)
-                  | Ok loaded -> Ok (raw, loaded))
-              in
-              match load_result with
-              | Ok (raw, loaded) ->
+              match Scrub.load_file ~limits:t.limits path with
+              | Ok (_, loaded, info) ->
                 let tiers =
                   match loaded with
                   | Sketch.Serialize.Single s ->
@@ -213,8 +205,8 @@ let refresh ?(force = false) t =
                     path;
                     synopsis = tiers.(0).t_synopsis;
                     tiers;
-                    content_crc = Sketch.Crc32.to_hex (Sketch.Crc32.string raw);
-                    params_fp = Scrub.fingerprint loaded;
+                    content_crc = info.Scrub.v_crc;
+                    params_fp = info.Scrub.v_fp;
                     mtime = st.Unix.st_mtime;
                     size = st.Unix.st_size;
                     ino = st.Unix.st_ino;
@@ -278,33 +270,13 @@ let refresh ?(force = false) t =
               | None -> true
             in
             if needs_load then begin
-              let load_result =
-                match Ingest.read_manifest ~limits:t.limits ~dir:t.dir ~name () with
-                | Error fault -> Error fault
-                | Ok m -> (
-                  let rec load acc = function
-                    | [] -> Ok (List.rev acc)
-                    | info :: rest -> (
-                      match Ingest.load_level ~limits:t.limits ~dir:t.dir info with
-                      | Error fault -> Error fault
-                      | Ok s -> load ((s, Ingest.tomb_paths info) :: acc) rest)
-                  in
-                  match load [] m.Ingest.entries with
-                  | Error fault -> Error fault
-                  | Ok levels -> Ok (m, Array.of_list levels))
-              in
-              match load_result with
+              match Ingest.load_stack ~limits:t.limits ~dir:t.dir ~name () with
               | Ok (m, levels) -> (
-                let level_records =
-                  List.fold_left
-                    (fun acc e -> acc + e.Ingest.records)
-                    0 m.Ingest.entries
-                in
                 let fingerprint e =
                   {
                     e with
                     levels;
-                    level_records;
+                    level_records = Ingest.manifest_records m;
                     flushed_seq = m.Ingest.flushed;
                     l_mtime = st.Unix.st_mtime;
                     l_size = st.Unix.st_size;
@@ -458,5 +430,4 @@ let hashes t =
    divergence detector compares. *)
 let combined_hash t =
   let line (name, crc, fp) = name ^ ":" ^ crc ^ ":" ^ fp in
-  Sketch.Crc32.to_hex
-    (Sketch.Crc32.string (String.concat ";" (List.map line (hashes t))))
+  Scrub.content_hash (String.concat ";" (List.map line (hashes t)))

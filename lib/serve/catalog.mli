@@ -57,8 +57,9 @@ type entry = {
           content identity replicas compare for divergence, restored
           exactly by a byte-identical peer repair *)
   params_fp : string;
-      (** {!Scrub.fingerprint} of the build shape (plain vs ladder,
-          tier budgets), 8-hex *)
+      (** the scrubber's params fingerprint ([v_fp] of
+          {!Scrub.load_file}) of the build shape (plain vs ladder, tier
+          budgets), 8-hex *)
   mtime : float;  (** fingerprint at load time *)
   size : int;  (** fingerprint at load time *)
   ino : int;  (** fingerprint at load time *)

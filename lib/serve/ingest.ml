@@ -178,8 +178,7 @@ let render_manifest m =
         (Sketch.Crc32.to_hex e.crc)
         e.records e.since tombs)
     m.entries;
-  let body = Buffer.contents b in
-  body ^ "crc " ^ Sketch.Crc32.to_hex (Sketch.Crc32.string body) ^ "\n"
+  Sketch.Serialize.with_crc (Buffer.contents b)
 
 let kv key token =
   let prefix = key ^ "=" in
@@ -277,25 +276,23 @@ let parse_manifest ~path text =
       | None -> fail (List.length body_lines + 1) crc_line "bad crc line")
     | _ -> fail (List.length body_lines + 1) crc_line "missing crc trailer")
 
+let load_manifest ?limits path =
+  Result.bind (Sketch.Serialize.load_raw_res ?limits path) (parse_manifest ~path)
+
 let read_manifest ?limits ~dir ~name () =
   let path = manifest_path ~dir ~name in
-  if not (Sys.file_exists path) then Ok empty_manifest
-  else
-    match Sketch.Serialize.load_raw_res ?limits path with
-    | Error f -> Error f
-    | Ok text -> parse_manifest ~path text
+  if Sys.file_exists path then load_manifest ?limits path else Ok empty_manifest
+
+let manifest_records m = List.fold_left (fun acc e -> acc + e.records) 0 m.entries
 
 let load_level ?limits ~dir info =
   let path = Filename.concat dir info.file in
-  match Sketch.Serialize.load_raw_res ?limits path with
-  | Error f -> Error f
-  | Ok raw ->
-    if not (Int32.equal (Sketch.Crc32.string raw) info.crc) then
-      Error (corrupt path 0 "" "level content does not match manifest crc")
-    else (
-      match Sketch.Serialize.of_string_res ?limits raw with
-      | Error f -> Error (Xmldoc.Fault.with_path path f)
-      | Ok s -> Ok s)
+  Result.bind (Sketch.Serialize.load_raw_res ?limits path) (fun raw ->
+      if not (Int32.equal (Sketch.Crc32.string raw) info.crc) then
+        Error (corrupt path 0 "" "level content does not match manifest crc")
+      else
+        Result.map_error (Xmldoc.Fault.with_path path)
+          (Sketch.Serialize.of_string_res ?limits raw))
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                               *)
@@ -415,14 +412,19 @@ let staleness ?(now = Unix.gettimeofday ()) t =
 
 let tomb_paths info = List.filter_map parse_path info.tombs
 
-let level_synopses t =
-  with_mutex t (fun () ->
-      Array.of_list (List.map (fun l -> l.synopsis) t.levels))
+let stack_of levels =
+  Array.of_list (List.map (fun l -> (l.synopsis, tomb_paths l.info)) levels)
 
-let level_stack t =
-  with_mutex t (fun () ->
-      Array.of_list
-        (List.map (fun l -> (l.synopsis, tomb_paths l.info)) t.levels))
+let level_stack t = with_mutex t (fun () -> stack_of t.levels)
+
+(* The catalog's view of [name]'s levels: the same manifest read and
+   level loader the engine replays through, in {!level_stack}'s
+   shape. *)
+let load_stack ?limits ~dir ~name () =
+  Result.bind (read_manifest ?limits ~dir ~name ()) (fun m ->
+      Result.map
+        (fun levels -> (m, stack_of levels))
+        (load_levels ?limits ~dir ~cache:[] m.entries))
 
 let wal_bytes t = with_mutex t (fun () -> Wal.bytes t.wal)
 

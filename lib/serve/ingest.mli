@@ -83,9 +83,13 @@ val read_manifest :
 (** Load and verify (CRC trailer, line grammar, unique ascending
     generations).  A missing manifest reads as {!empty_manifest}. *)
 
-val parse_manifest : path:string -> string -> (manifest, Xmldoc.Fault.t) result
-(** In-memory variant (for the scrubber, which already holds the raw
-    bytes); [path] only tags faults. *)
+val load_manifest :
+  ?limits:Xmldoc.Limits.t -> string -> (manifest, Xmldoc.Fault.t) result
+(** {!read_manifest} of the manifest file at a path, which must exist —
+    what an fsck of that file checks. *)
+
+val manifest_records : manifest -> int
+(** Ingested records summarized across the manifest's levels. *)
 
 val render_manifest : manifest -> string
 
@@ -96,6 +100,18 @@ val load_level :
   (Sketch.Synopsis.t, Xmldoc.Fault.t) result
 (** Load one delta snapshot, verifying its bytes against the
     manifest's [crc] before parsing. *)
+
+val load_stack :
+  ?limits:Xmldoc.Limits.t ->
+  dir:string ->
+  name:string ->
+  unit ->
+  ( manifest * (Sketch.Synopsis.t * Xmldoc.Label.t list list) array,
+    Xmldoc.Fault.t )
+  result
+(** {!read_manifest} plus every level it lists, in {!level_stack}'s
+    shape, through the engine's own level loader: the first level that
+    fails to load is the fault. *)
 
 (** {2 Engine} *)
 
@@ -192,15 +208,11 @@ val wal_bytes : t -> int
 val flushed_seq : t -> int
 val level_count : t -> int
 val level_records : t -> int
-val level_synopses : t -> Sketch.Synopsis.t array
 
 val level_stack : t -> (Sketch.Synopsis.t * Xmldoc.Label.t list list) array
 (** The loaded levels, ascending generation, each paired with its
     parsed tombstone paths — the stack {!Query_exec.run} subtracts
     deletions over. *)
-
-val tomb_paths : level_info -> Xmldoc.Label.t list list
-(** The entry's valid tombstone predicates, parsed. *)
 
 (** {2 Compaction (Jobs child body)} *)
 

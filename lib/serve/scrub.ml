@@ -5,8 +5,8 @@
    manifest and per-tier checksums), re-run [Synopsis.validate] on
    every decoded tier — reused by four callers:
 
-   - the catalog's load path (which computes the same content hash and
-     params fingerprint at load time);
+   - the catalog's load path ([load_file], which hands back the
+     decoded tiers with the content hash and params fingerprint);
    - the background scrub job forked by the {!Jobs} supervisor, which
      walks the directory and writes a report the serving parent applies
      as quarantines;
@@ -41,45 +41,105 @@ type info = {
   v_tiers : int;  (* ladder rungs; 1 for a plain snapshot *)
 }
 
-let hex_of_string s = Sketch.Crc32.to_hex (Sketch.Crc32.string s)
+let content_hash s = Sketch.Crc32.to_hex (Sketch.Crc32.string s)
 
-let fingerprint (loaded : Sketch.Serialize.loaded) =
-  let shape =
-    match loaded with
-    | Sketch.Serialize.Single _ -> "single"
-    | Sketch.Serialize.Ladder tiers ->
-      "ladder:"
-      ^ String.concat ","
-          (List.map (fun (b, _) -> string_of_int b) (Array.to_list tiers))
-  in
-  hex_of_string shape
-
-let tier_count = function
-  | Sketch.Serialize.Single _ -> 1
-  | Sketch.Serialize.Ladder tiers -> Array.length tiers
-
-(* Verify already-read bytes: the parse IS the integrity check — every
+(* Decode already-read bytes: the parse IS the integrity check — every
    CRC is re-computed and every tier re-validated by
-   [of_any_string_res]. *)
-let verify_string ?limits text =
-  match Sketch.Serialize.of_any_string_res ?limits text with
-  | Error f -> Error f
-  | Ok loaded ->
-    Ok
-      {
-        v_bytes = String.length text;
-        v_crc = hex_of_string text;
-        v_fp = fingerprint loaded;
-        v_tiers = tier_count loaded;
-      }
+   [of_any_string_res].  The params fingerprint hashes the build shape
+   only: plain, or the ladder's tier budgets. *)
+let decode ?limits text =
+  Result.map
+    (fun (loaded : Sketch.Serialize.loaded) ->
+      let shape, tiers =
+        match loaded with
+        | Single _ -> ("single", 1)
+        | Ladder tiers ->
+          ( "ladder:"
+            ^ String.concat ","
+                (Array.to_list (Array.map (fun (b, _) -> string_of_int b) tiers)),
+            Array.length tiers )
+      in
+      ( loaded,
+        {
+          v_bytes = String.length text;
+          v_crc = content_hash text;
+          v_fp = content_hash shape;
+          v_tiers = tiers;
+        } ))
+    (Sketch.Serialize.of_any_string_res ?limits text)
+
+let verify_string ?limits text = Result.map snd (decode ?limits text)
+
+let load_file ?limits path =
+  Result.bind (Sketch.Serialize.load_raw_res ?limits path) (fun text ->
+      match decode ?limits text with
+      | Ok (loaded, info) -> Ok (text, loaded, info)
+      | Error f -> Error (Xmldoc.Fault.with_path path f))
 
 let verify_file ?limits path =
-  match Sketch.Serialize.load_raw_res ?limits path with
-  | Error f -> Error f
-  | Ok text -> (
-    match verify_string ?limits text with
-    | Ok info -> Ok info
-    | Error f -> Error (Xmldoc.Fault.with_path path f))
+  Result.map (fun (_, _, info) -> info) (load_file ?limits path)
+
+type verdict =
+  | Snapshot of info
+  | Wal_log of { records : int; torn : bool }
+  | Manifest of { flushed : int; levels : int; tombs : int }
+  | Delta of { gen : int; records : int; bytes : int }
+  | Orphan of info
+
+(* The one dispatcher from a file name to its family's reader.  Every
+   fault is reported against the file it concerns, so a manifest
+   reports each rotten delta it lists. *)
+let verify_path ?limits path =
+  let dir = Filename.dirname path and base = Filename.basename path in
+  let one verdict = Result.map_error (fun f -> [ (path, f) ]) verdict in
+  match (Wal.wal_name base, Ingest.manifest_name base, Ingest.level_name base) with
+  | Some _, _, _ ->
+    (* a torn tail is a normal crash artifact replay truncates: it
+       passes *)
+    one
+      (Result.map
+         (fun (records, torn) -> Wal_log { records = List.length records; torn })
+         (Wal.scan ?limits path))
+  | None, Some name, _ -> (
+    (* resolved the way the engine names it, so faults read exactly as
+       a restart's would *)
+    match Ingest.load_manifest ?limits (Ingest.manifest_path ~dir ~name) with
+    | Error f -> Error [ (path, f) ]
+    | Ok m -> (
+      let rotten (e : Ingest.level_info) =
+        match Ingest.load_level ?limits ~dir e with
+        | Ok _ -> None
+        | Error f -> Some (Filename.concat dir e.file, f)
+      in
+      match List.filter_map rotten m.entries with
+      | [] ->
+        Ok
+          (Manifest
+             {
+               flushed = m.flushed;
+               levels = List.length m.entries;
+               tombs =
+                 List.fold_left
+                   (fun n (e : Ingest.level_info) -> n + List.length e.tombs)
+                   0 m.entries;
+             })
+      | faults -> Error faults))
+  | None, None, Some (name, gen) -> (
+    match Ingest.read_manifest ?limits ~dir ~name () with
+    | Error f -> Error [ (path, f) ]
+    | Ok m -> (
+      match List.find_opt (fun (e : Ingest.level_info) -> e.gen = gen) m.entries with
+      | Some e ->
+        one
+          (Result.map
+             (fun _ -> Delta { gen; records = e.records; bytes = e.bytes })
+             (Ingest.load_level ?limits ~dir e))
+      | None ->
+        (* unreferenced: a crash orphan replay ignores and the sweep
+           collects, but it must still be a well-formed snapshot *)
+        one (Result.map (fun i -> Orphan i) (verify_file ?limits path))))
+  | None, None, None ->
+    one (Result.map (fun i -> Snapshot i) (verify_file ?limits path))
 
 type file_report = {
   f_name : string;
@@ -119,44 +179,24 @@ let scan ?limits dir =
                | _ ->
                  Some { f_name = name; f_path = path; f_result = verify_file ?limits path })
     in
-    (* Live-ingestion state rots too.  Verify each level manifest (CRC
-       trailer + grammar) and every delta file it lists against the
-       manifest's per-level crc, plus each WAL's frame CRCs — a torn
-       WAL tail is a normal crash artifact that replay truncates, NOT
-       rot, so it passes.  Only failures are reported; the serving
-       parent replays them as quarantines exactly like snapshot rot
-       (the resident level stack keeps serving). *)
+    (* Live-ingestion state rots too: each level manifest (with every
+       delta it lists) and each WAL goes through [verify_path].  Only
+       failures are reported, one per file with its first fault; the
+       serving parent replays them as quarantines exactly like snapshot
+       rot (the resident level stack keeps serving).  Unreferenced
+       deltas are left to [sweep_levels]: replay ignores them, so their
+       rot must not quarantine the name. *)
     let ingest_reports =
       Array.to_list files
       |> List.filter_map (fun file ->
              let path = Filename.concat dir file in
-             match Ingest.manifest_name file with
-             | Some name -> (
-               let result =
-                 match Ingest.read_manifest ?limits ~dir ~name () with
-                 | Error f -> Error f
-                 | Ok m ->
-                   let rec check = function
-                     | [] -> Ok ()
-                     | e :: rest -> (
-                       match Ingest.load_level ?limits ~dir e with
-                       | Error f -> Error f
-                       | Ok _ -> check rest)
-                   in
-                   check m.Ingest.entries
-               in
-               match result with
-               | Ok () -> None
-               | Error f ->
-                 Some { f_name = name; f_path = path; f_result = Error f })
-             | None -> (
-               match Wal.wal_name file with
-               | Some name -> (
-                 match Wal.scan ?limits path with
-                 | Ok _ -> None
-                 | Error f ->
-                   Some { f_name = name; f_path = path; f_result = Error f })
-               | None -> None))
+             match Ingest.manifest_name file, Wal.wal_name file with
+             | (Some name, _ | None, Some name) when Sys.file_exists path -> (
+               match verify_path ?limits path with
+               | Error ((_, f) :: _) ->
+                 Some { f_name = name; f_path = path; f_result = Error f }
+               | Ok _ | Error [] -> None)
+             | _ -> None)
     in
     Ok (ts_reports @ ingest_reports)
 

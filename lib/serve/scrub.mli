@@ -3,8 +3,9 @@
 
     One verification routine (raw read through the {!Xmldoc.Io_fault}
     taps, every CRC re-checked, every tier re-validated) reused by the
-    catalog's load path, the background scrub job, the synchronous
-    SCRUB protocol verb, and the [treesketch verify] offline fsck.
+    catalog's load path ({!load_file}), the background scrub job and
+    the synchronous SCRUB protocol verb ({!scan}), and the
+    [treesketch verify] offline fsck ({!verify_path}).
 
     Two identities fall out of a verification:
     - the {e content hash} — CRC-32 of the file's raw bytes.  Replicas
@@ -31,21 +32,54 @@ type info = {
   v_tiers : int;  (** ladder rungs; 1 for a plain snapshot *)
 }
 
-val fingerprint : Sketch.Serialize.loaded -> string
-(** The params fingerprint of a decoded snapshot. *)
+val content_hash : string -> string
+(** 8-hex CRC-32 of some bytes — the content-hash function. *)
 
 val verify_string :
   ?limits:Xmldoc.Limits.t -> string -> (info, Xmldoc.Fault.t) result
 (** Verify already-read bytes: full parse (all CRCs re-computed, all
-    tiers [Synopsis.validate]d) plus hashing.  What the catalog load
-    path and the FETCH receiver use, so bytes are read once. *)
+    tiers [Synopsis.validate]d) plus hashing.  What the FETCH receiver
+    checks pulled bytes with. *)
+
+val load_file :
+  ?limits:Xmldoc.Limits.t ->
+  string ->
+  (string * Sketch.Serialize.loaded * info, Xmldoc.Fault.t) result
+(** Read a snapshot through {!Sketch.Serialize.load_raw_res} and verify
+    it end to end: its raw bytes, decoded tiers and identities — the
+    catalog's load path and the FETCH source.  Faults are
+    path-tagged. *)
 
 val verify_file :
   ?limits:Xmldoc.Limits.t -> string -> (info, Xmldoc.Fault.t) result
-(** {!verify_string} over {!Sketch.Serialize.load_raw_res}: re-read the
-    file from disk and verify it end to end.  This is the scrub: a
+(** {!load_file}'s identities alone.  This is the scrub: a
     snapshot that loaded cleanly an hour ago and has rotted since fails
     {e here}, where the catalog's fingerprint cache would never look. *)
+
+(** What a clean file of each family verified as. *)
+type verdict =
+  | Snapshot of info  (** a plain or ladder snapshot *)
+  | Wal_log of { records : int; torn : bool }
+      (** intact frames; a torn tail passes (replay truncates it) *)
+  | Manifest of { flushed : int; levels : int; tombs : int }
+      (** a level manifest and every delta it lists *)
+  | Delta of { gen : int; records : int; bytes : int }
+      (** a delta matching its manifest entry's crc *)
+  | Orphan of info  (** a delta no manifest lists, valid as a snapshot *)
+
+val verify_path :
+  ?limits:Xmldoc.Limits.t ->
+  string ->
+  (verdict, (string * Xmldoc.Fault.t) list) result
+(** Verify one file with its family's reader, the family picked from
+    the file name: a WAL ([.name.wal]) frame by frame, a level
+    manifest ([.name.levels]) together with every delta it lists, a
+    delta ([.name.l<gen>.delta]) against its manifest's crc — or as a
+    plain snapshot when no manifest lists it — and anything else as a
+    snapshot.  [Error] lists every fault found, each with the file it
+    concerns (never empty); a missing file is an [Io_error] in every
+    family.  {!scan} and [treesketch verify] both run it, so offline
+    and online verification cannot disagree. *)
 
 type file_report = {
   f_name : string;  (** snapshot name (extension stripped) *)
@@ -63,12 +97,11 @@ val scan :
     failure.
 
     Live-ingestion state ({!Ingest}) is verified too: each level
-    manifest's CRC trailer and grammar, every delta file it lists
-    against the manifest's per-level crc, and each WAL's frame CRCs.
-    A torn WAL tail is a normal crash artifact that replay truncates —
-    it passes.  Only {e failures} appear in the report (as corrupt
-    entries under the synopsis name), so directories without ingestion
-    state scan exactly as before. *)
+    manifest and each WAL through {!verify_path}.  Only {e failures}
+    appear in the report (as corrupt entries under the synopsis name,
+    first fault only), so directories without ingestion state scan
+    exactly as before.  Files that vanish mid-walk are skipped, and
+    unreferenced deltas are left to {!sweep_levels}. *)
 
 val sweep_tmp : ?max_age:float -> string -> string list
 (** Remove orphaned [.treesketch*.tmp] staging files older than

@@ -898,14 +898,11 @@ let handle_request t ~line (req : Protocol.request) =
           (Printf.sprintf "no snapshot %S in the catalog" name),
         false )
     else
-      match Sketch.Serialize.load_raw_res ~limits:t.config.limits path with
+      (* verify before streaming: a repair source must never hand a
+         peer the very rot it is trying to recover from *)
+      match Scrub.load_file ~limits:t.config.limits path with
       | Error f -> (Protocol.fault_line f, false)
-      | Ok text -> (
-        (* verify before streaming: a repair source must never hand a
-           peer the very rot it is trying to recover from *)
-        match Scrub.verify_string ~limits:t.config.limits text with
-        | Error f -> (Protocol.fault_line (Xmldoc.Fault.with_path path f), false)
-        | Ok _ -> (Repair.render_fetch ~path ~name text, false)))
+      | Ok (text, _, _) -> (Repair.render_fetch ~path ~name text, false))
   | Repair ->
     if t.config.peers = [] then
       ( Protocol.error_line ~cls:"bad-request"

@@ -141,52 +141,23 @@ type t = {
          "WAL outstanding" signal, maintained without stat calls *)
 }
 
-let read_all ?(limits = Xmldoc.Limits.default) path =
-  match
-    Xmldoc.Io_fault.tap_retrying Xmldoc.Io_fault.Open ~path;
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let len = in_channel_length ic in
-        if len > limits.Xmldoc.Limits.max_bytes then
-          Error
-            (Xmldoc.Fault.Limit_exceeded
-               { what = "bytes"; actual = len; limit = limits.max_bytes })
-        else begin
-          Xmldoc.Io_fault.tap_retrying Xmldoc.Io_fault.Read ~path;
-          (* a short read observes a prefix — indistinguishable from a
-             torn tail, and handled identically by the parser *)
-          Ok
-            (really_input_string ic
-               (Xmldoc.Io_fault.cap Xmldoc.Io_fault.Read ~path len))
-        end)
-  with
-  | result -> result
-  | exception Sys_error message -> Error (Xmldoc.Fault.Io_error { path; message })
-  | exception End_of_file ->
-    Error (Xmldoc.Fault.Io_error { path; message = "unexpected end of file" })
-  | exception Unix.Unix_error (e, fn, _) ->
-    Error
-      (Xmldoc.Fault.Io_error { path; message = fn ^ ": " ^ Unix.error_message e })
-
 (* Read-only verification (the scrubber, [treesketch verify]): parse
    without repairing.  A torn tail is data, not failure — replay will
-   truncate it; only an unreadable file is an error. *)
+   truncate it; only an unreadable (or missing) file is an error.  A
+   short read observes a prefix: indistinguishable from a torn tail,
+   and handled identically by the parser. *)
 let scan ?limits path =
-  if not (Sys.file_exists path) then Ok ([], false)
-  else
-    match read_all ?limits path with
-    | Error f -> Error f
-    | Ok text ->
+  Result.map
+    (fun text ->
       let records, _, torn = parse text in
-      Ok (records, torn)
+      (records, torn))
+    (Xmldoc.Io_fault.read_file ?limits path)
 
 let open_ ?limits ~dir ~name () =
   let wal_path = path ~dir ~name in
   let replayed =
     if Sys.file_exists wal_path then
-      match read_all ?limits wal_path with
+      match Xmldoc.Io_fault.read_file ?limits wal_path with
       | Error f -> Error f
       | Ok text ->
         let records, good, torn = parse text in

@@ -88,7 +88,7 @@ val scan :
   ?limits:Xmldoc.Limits.t -> string -> (record list * bool, Xmldoc.Fault.t) result
 (** Read-only verification for the scrubber and [treesketch verify]:
     intact records plus a torn-tail flag, without repairing the file.
-    A missing file reads as [([], false)]. *)
+    A missing file is an [Io_error], like any unreadable one. *)
 
 val bytes : t -> int
 (** Bytes of intact log currently on disk — the write-pressure

@@ -168,3 +168,30 @@ let cap site ~path len =
       (fun acc a -> match a with Cut n -> min acc n | Raise _ | Sleep _ -> acc)
       len actions
   end
+
+let read_file ?(limits = Limits.default) path =
+  match
+    tap_retrying Open ~path;
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        let len = in_channel_length ic in
+        if len > limits.Limits.max_bytes then
+          Error
+            (Fault.Limit_exceeded
+               { what = "bytes"; actual = len; limit = limits.Limits.max_bytes })
+        else begin
+          tap_retrying Read ~path;
+          (* an injected short read observes a prefix, as a file caught
+             mid-write would: every caller's parser or checksum must
+             reject it, never accept it partially *)
+          Ok (really_input_string ic (cap Read ~path len))
+        end)
+  with
+  | result -> result
+  | exception Sys_error message -> Error (Fault.Io_error { path; message })
+  | exception End_of_file ->
+    Error (Fault.Io_error { path; message = "unexpected end of file" })
+  | exception Unix.Unix_error (e, fn, _) ->
+    Error (Fault.Io_error { path; message = fn ^ ": " ^ Unix.error_message e })

@@ -97,3 +97,13 @@ val cap : site -> path:string -> int -> int
     nothing fires.  Call sites transfer that many bytes, modelling a
     short read (a torn file observed mid-write) or a short write (a
     tear the crash-safety machinery must keep invisible). *)
+
+val read_file : ?limits:Limits.t -> string -> (string, Fault.t) result
+(** A whole file's bytes through the [Open] and [Read] taps and the
+    [Read] {!cap} — the one bounded read under every on-disk file
+    family (XML documents, snapshots, level manifests and deltas,
+    WALs).  A file over [limits.max_bytes] (default
+    {!Limits.default}) is [Limit_exceeded] on ["bytes"]; anything
+    unreadable is [Io_error].  Faults are {e not} path-tagged beyond
+    [Io_error]'s own path: callers that tag ({!Fault.with_path}) do
+    so themselves.  An injected short read returns a prefix. *)

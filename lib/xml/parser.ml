@@ -260,34 +260,8 @@ let of_string ?limits src =
   | Ok t -> t
   | Stdlib.Error f -> raise_fault f
 
-let of_file_res ?(limits = Limits.default) path =
-  match
-    Io_fault.tap_retrying Io_fault.Open ~path;
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let len = in_channel_length ic in
-        if len > limits.Limits.max_bytes then
-          Stdlib.Error
-            (Fault.Limit_exceeded
-               { what = "bytes"; actual = len; limit = limits.Limits.max_bytes })
-        else begin
-          Io_fault.tap_retrying Io_fault.Read ~path;
-          (* an injected short read truncates the document text, which
-             must then fail as a structured parse fault — exactly what
-             a file observed mid-write would do *)
-          of_string_res ~limits
-            (really_input_string ic (Io_fault.cap Io_fault.Read ~path len))
-        end)
-  with
-  | r -> r
-  | exception Sys_error message -> Stdlib.Error (Fault.Io_error { path; message })
-  | exception End_of_file ->
-    Stdlib.Error (Fault.Io_error { path; message = "unexpected end of file" })
-  | exception Unix.Unix_error (e, fn, _) ->
-    Stdlib.Error
-      (Fault.Io_error { path; message = fn ^ ": " ^ Unix.error_message e })
+let of_file_res ?limits path =
+  Result.bind (Io_fault.read_file ?limits path) (of_string_res ?limits)
 
 let of_file ?limits path =
   match of_file_res ?limits path with

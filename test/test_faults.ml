@@ -458,6 +458,109 @@ let test_checkpoint_truncation_every_offset () =
       (* only losing the final newline leaves a verifiable checkpoint *)
       Alcotest.(check bool) "at most one complete prefix" true (!complete <= 1))
 
+(* Every reader over the shared bounded read (XML parse, snapshot
+   load, level manifest, WAL replay) must keep the fault class and
+   message it has always returned — for a file over [max_bytes] and for
+   an injected short read.  Snapshot and manifest faults name the file;
+   XML and WAL faults never did.  A torn WAL read is not a fault at
+   all: replay keeps the intact prefix and reports a torn tail. *)
+let test_shared_read_faults_pinned () =
+  with_temp_dir (fun dir ->
+      let module F = Xmldoc.Io_fault in
+      let xml = Filename.concat dir "doc.xml" in
+      write_file xml "<doc><a/><b/></doc>\n";
+      let snap = Filename.concat dir "snap.ts" in
+      (match Serialize.save_atomic snap (Lazy.force store_synopsis) with
+      | Ok () -> ()
+      | Error f -> Alcotest.failf "save: %s" (Fault.to_string f));
+      let manifest = Serve.Ingest.manifest_path ~dir ~name:"db" in
+      write_file manifest (Serve.Ingest.render_manifest Serve.Ingest.empty_manifest);
+      let wal = Serve.Wal.path ~dir ~name:"db" in
+      (match Serve.Wal.open_ ~dir ~name:"db" () with
+      | Error f -> Alcotest.failf "wal open: %s" (Fault.to_string f)
+      | Ok (w, _, _) ->
+        List.iter
+          (fun seq ->
+            match
+              Serve.Wal.append w
+                { seq; ts = 1.0; op = Serve.Wal.Insert; payload = "<a/>" }
+            with
+            | Ok () -> ()
+            | Error _ -> Alcotest.fail "wal append")
+          [ 1; 2 ];
+        Serve.Wal.close w);
+      let wal_text = In_channel.with_open_bin wal In_channel.input_all in
+      (* the crc is 8 hex digits whatever its value *)
+      let frame1 = String.length "rec 1 1.000000 4 00000000\n<a/>\n" in
+      let outcome = function
+        | Ok summary -> "ok " ^ summary
+        | Error f -> Fault.class_name f ^ ": " ^ Fault.to_string f
+      in
+      let over_limit ?tag path =
+        Printf.sprintf "limit: resource limit exceeded: %sbytes = %d (limit 8)"
+          (match tag with Some p -> p ^ ": " | None -> "")
+          (Unix.stat path).Unix.st_size
+      in
+      (* caller, its file, one read through it, the fault over
+         [max_bytes], and a short-read cut with its outcome *)
+      let callers =
+        [
+          ( "xml parse",
+            xml,
+            (fun limits ->
+              outcome (Result.map (fun _ -> "tree") (Parser.of_file_res ?limits xml))),
+            over_limit xml,
+            9,
+            "parse: XML parse error at line 1, column 10: missing </doc>" );
+          ( "snapshot load",
+            snap,
+            (fun limits ->
+              outcome
+                (Result.map (fun _ -> "synopsis") (Serialize.load_res ?limits snap))),
+            over_limit ~tag:snap snap,
+            20,
+            Printf.sprintf
+              "corrupt: corrupt synopsis: %s: missing crc trailer (snapshot \
+               truncated mid-write?)"
+              snap );
+          ( "level manifest",
+            manifest,
+            (fun limits ->
+              outcome
+                (Result.map
+                   (fun _ -> "manifest")
+                   (Serve.Ingest.read_manifest ?limits ~dir ~name:"db" ()))),
+            over_limit ~tag:manifest manifest,
+            20,
+            Printf.sprintf
+              "corrupt: corrupt synopsis at line 2 (\"flushed 0\"): %s: missing \
+               crc trailer"
+              manifest );
+          ( "wal replay",
+            wal,
+            (fun limits ->
+              outcome
+                (Result.map
+                   (fun (w, records, torn) ->
+                     Serve.Wal.close w;
+                     (* replay truncated the tear away: restore it *)
+                     write_file wal wal_text;
+                     Printf.sprintf "records=%d torn=%b" (List.length records) torn)
+                   (Serve.Wal.open_ ?limits ~dir ~name:"db" ()))),
+            over_limit wal,
+            frame1 + 5,
+            "ok records=1 torn=true" );
+        ]
+      in
+      let tiny = Some { Limits.default with max_bytes = 8 } in
+      List.iter
+        (fun (label, path, run, oversized, cut, torn) ->
+          Alcotest.(check string) (label ^ ": over max_bytes") oversized (run tiny);
+          Fun.protect ~finally:F.disarm (fun () ->
+              F.arm [ F.rule ~prob:1.0 ~path F.Read (F.Short_at cut) ];
+              Alcotest.(check string) (label ^ ": short read") torn (run None)))
+        callers)
+
 (* ------------------------------------------------------------------ *)
 (* Deadline degradation in TSBUILD                                     *)
 (* ------------------------------------------------------------------ *)
@@ -576,6 +679,8 @@ let () =
             test_save_atomic_roundtrip;
           Alcotest.test_case "checkpoint truncation at every offset" `Quick
             test_checkpoint_truncation_every_offset;
+          Alcotest.test_case "shared read: faults pinned per caller" `Quick
+            test_shared_read_faults_pinned;
         ] );
       ( "deadline degradation",
         [

@@ -1,7 +1,8 @@
 (* Anti-entropy: background integrity scrubbing + peer snapshot repair.
 
    - the scrub core: verify/scan/report round-trips, the tmp-orphan
-     sweep's age gate;
+     sweep's age gate, and [verify_path] over every file family
+     (clean, rotten, missing) agreeing with [scan];
    - catalog content identity (per-snapshot hash + params fingerprint)
      and scrub quarantine semantics (resident copy keeps serving, an
      atomic-rename repair clears the quarantine without --force);
@@ -294,6 +295,215 @@ let test_tmp_sweep_age_gate () =
         (Sys.file_exists fresh);
       Alcotest.(check bool) "real snapshot untouched" true
         (Sys.file_exists (Filename.concat dir "db.ts")))
+
+(* ------------------------------------------------------------------ *)
+(* One reader per file family                                          *)
+(* ------------------------------------------------------------------ *)
+
+let save_ladder path =
+  match
+    Sketch.Build.build_ladder_res ~limits:Xmldoc.Limits.unlimited
+      (Lazy.force synopsis) ~budget:2048 ~tiers:3
+  with
+  | Error f -> Alcotest.failf "ladder build: %s" (Xmldoc.Fault.to_string f)
+  | Ok { ladder = tiers; _ } -> (
+    match Serialize.save_ladder_atomic path tiers with
+    | Ok () -> ()
+    | Error f -> Alcotest.failf "ladder save: %s" (Xmldoc.Fault.to_string f))
+
+(* Live-ingestion state for synopsis [db]: [flushes] published levels
+   (.db.l1.delta, .db.l2.delta, ...) plus [pending] unflushed records
+   in .db.wal. *)
+let ingest_state ?(flushes = 2) ?(pending = 0) dir =
+  let engine =
+    match
+      Serve.Ingest.open_ ~dir ~name:"db" ~level_budget:64 ~flush_records:64 ()
+    with
+    | Ok t -> t
+    | Error f -> Alcotest.failf "open_: %s" (Xmldoc.Fault.to_string f)
+  in
+  let add i =
+    match
+      Serve.Ingest.ingest engine
+        ~xml:(Printf.sprintf "<movie><title/><n%d/></movie>" i)
+    with
+    | Ok _ -> ()
+    | Error `No_space -> Alcotest.fail "ingest: no space"
+    | Error (`Fault f) -> Alcotest.failf "ingest: %s" (Xmldoc.Fault.to_string f)
+  in
+  for i = 1 to flushes do
+    add i;
+    match Serve.Ingest.flush engine with
+    | Ok true -> ()
+    | Ok false -> Alcotest.fail "flush published nothing"
+    | Error f -> Alcotest.failf "flush: %s" (Xmldoc.Fault.to_string f)
+  done;
+  for i = 1 to pending do
+    add (100 + i)
+  done;
+  Serve.Ingest.close engine
+
+let copy_file src dst = write_raw dst (read_file src)
+
+(* Every file family, clean, rotten and missing, through
+   [Scrub.verify_path] — and [Scrub.scan] over the same directory must
+   reach the same verdict, so offline and online verification cannot
+   disagree.  Two deliberate exceptions ([scanned = false]): an
+   unreferenced delta, which replay ignores and [sweep_levels]
+   collects, so the scan never quarantines a name over it; and a
+   missing file, which fails verification in every family while the
+   scan, which may race a deletion, skips what is gone. *)
+let test_verify_path_families () =
+  let in_dir dir file = Filename.concat dir file in
+  let delta dir gen = in_dir dir (Printf.sprintf ".db.l%d.delta" gen) in
+  let cases =
+    [
+      ( "plain snapshot",
+        (fun dir ->
+          save (in_dir dir "db.ts") (Lazy.force synopsis);
+          in_dir dir "db.ts"),
+        `Clean (function Scrub.Snapshot i -> i.Scrub.v_tiers = 1 | _ -> false),
+        true );
+      ( "rotten plain snapshot",
+        (fun dir ->
+          save (in_dir dir "db.ts") (Lazy.force synopsis);
+          corrupt_in_place (in_dir dir "db.ts") ~at:40;
+          in_dir dir "db.ts"),
+        `Rotten (1, "corrupt"),
+        true );
+      ( "ladder snapshot",
+        (fun dir ->
+          save_ladder (in_dir dir "db.ts");
+          in_dir dir "db.ts"),
+        `Clean (function Scrub.Snapshot i -> i.Scrub.v_tiers = 3 | _ -> false),
+        true );
+      ( "rotten ladder snapshot",
+        (fun dir ->
+          save_ladder (in_dir dir "db.ts");
+          corrupt_in_place (in_dir dir "db.ts") ~at:400;
+          in_dir dir "db.ts"),
+        `Rotten (1, "corrupt"),
+        true );
+      ( "WAL",
+        (fun dir ->
+          ingest_state ~flushes:0 ~pending:3 dir;
+          in_dir dir ".db.wal"),
+        `Clean
+          (function
+          | Scrub.Wal_log { records = 3; torn = false } -> true | _ -> false),
+        true );
+      ( "WAL with a torn tail",
+        (fun dir ->
+          ingest_state ~flushes:0 ~pending:2 dir;
+          let wal = in_dir dir ".db.wal" in
+          write_raw wal (read_file wal ^ "rec 99 1.0 50 deadbeef\npartial");
+          wal),
+        `Clean
+          (function
+          | Scrub.Wal_log { records = 2; torn = true } -> true | _ -> false),
+        true );
+      ( "manifest",
+        (fun dir ->
+          ingest_state dir;
+          in_dir dir ".db.levels"),
+        `Clean
+          (function
+          | Scrub.Manifest { flushed = 2; levels = 2; tombs = 0 } -> true
+          | _ -> false),
+        true );
+      ( "manifest checksum mismatch",
+        (fun dir ->
+          ingest_state dir;
+          let m = in_dir dir ".db.levels" in
+          let text = read_file m in
+          let at = String.index text '\n' + 1 in
+          let b = Bytes.of_string text in
+          (* "flushed 2" -> "flushed 3": grammatical, but not what the
+             trailer seals *)
+          Bytes.set b (at + 8) '3';
+          write_raw m (Bytes.to_string b);
+          m),
+        `Rotten (1, "corrupt"),
+        true );
+      ( "manifest listing two rotten deltas",
+        (fun dir ->
+          ingest_state dir;
+          corrupt_in_place (delta dir 1) ~at:60;
+          corrupt_in_place (delta dir 2) ~at:60;
+          in_dir dir ".db.levels"),
+        `Rotten (2, "corrupt"),
+        true );
+      ( "referenced delta",
+        (fun dir ->
+          ingest_state dir;
+          delta dir 1),
+        `Clean
+          (function
+          | Scrub.Delta { gen = 1; records = 1; _ } -> true | _ -> false),
+        true );
+      ( "rotten referenced delta",
+        (fun dir ->
+          ingest_state dir;
+          corrupt_in_place (delta dir 2) ~at:60;
+          delta dir 2),
+        `Rotten (1, "corrupt"),
+        true );
+      ( "orphan delta",
+        (fun dir ->
+          ingest_state dir;
+          copy_file (delta dir 1) (delta dir 9);
+          delta dir 9),
+        `Clean (function Scrub.Orphan _ -> true | _ -> false),
+        false );
+      ( "rotten orphan delta",
+        (fun dir ->
+          ingest_state dir;
+          copy_file (delta dir 1) (delta dir 9);
+          corrupt_in_place (delta dir 9) ~at:60;
+          delta dir 9),
+        `Rotten (1, "corrupt"),
+        false );
+    ]
+    @ List.map
+        (fun file ->
+          ("missing " ^ file, (fun dir -> in_dir dir file), `Rotten (1, "io"), false))
+        [ "db.ts"; ".db.wal"; ".db.levels"; ".db.l1.delta" ]
+  in
+  List.iter
+    (fun (label, setup, expect, scanned) ->
+      with_temp_dir (fun dir ->
+          let path = setup dir in
+          let verified_clean =
+            match (Scrub.verify_path path, expect) with
+            | Ok v, `Clean shape ->
+              Alcotest.(check bool) (label ^ ": verdict shape") true (shape v);
+              true
+            | Error faults, `Rotten (n, cls) ->
+              Alcotest.(check int) (label ^ ": one entry per fault") n
+                (List.length faults);
+              List.iter
+                (fun (_, f) ->
+                  Alcotest.(check string) (label ^ ": fault class") cls
+                    (Xmldoc.Fault.class_name f))
+                faults;
+              false
+            | Ok _, `Rotten _ -> Alcotest.failf "%s: rot not detected" label
+            | Error ((file, f) :: _), `Clean _ ->
+              Alcotest.failf "%s: clean file rejected: %s: %s" label file
+                (Xmldoc.Fault.to_string f)
+            | Error [], _ -> Alcotest.failf "%s: empty fault list" label
+          in
+          let scan_clean =
+            match Scrub.scan dir with
+            | Error f -> Alcotest.failf "%s: scan: %s" label (Xmldoc.Fault.to_string f)
+            | Ok reports ->
+              List.for_all (fun r -> Result.is_ok r.Scrub.f_result) reports
+          in
+          Alcotest.(check bool)
+            (label ^ ": scan reaches the same verdict")
+            (verified_clean || not scanned)
+            scan_clean))
+    cases
 
 (* A background scrub racing a flush's manifest swap: in the window
    where the new delta level is already on disk but the manifest
@@ -1003,6 +1213,8 @@ let () =
             test_tmp_sweep_age_gate;
           Alcotest.test_case "scrub never disturbs a mid-swap flush" `Quick
             test_scrub_never_disturbs_mid_swap_flush;
+          Alcotest.test_case "verify_path: every family, agreeing with scan"
+            `Quick test_verify_path_families;
         ] );
       ( "catalog identity",
         [

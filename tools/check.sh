@@ -6,7 +6,7 @@
 #   tools/check.sh --quick         # skip the slow chaos tests
 #                                  # (ALCOTEST_QUICK_TESTS)
 #   tools/check.sh --stage NAME    # run one stage only (repeatable);
-#                                  # names: build, test, chaos,
+#                                  # names: build, test, verify, chaos,
 #                                  # pool-chaos, coordinator-chaos,
 #                                  # overload-chaos, scrub-chaos,
 #                                  # ingest-chaos, write-chaos,
@@ -69,6 +69,46 @@ stage_test() {
   else
     dune runtest --force
   fi
+}
+
+# Offline fsck through the CLI itself: build a small catalog with live
+# ingestion state (snapshot, WAL, level manifest, delta levels), then
+# `treesketch verify` must pass every file, fail a missing WAL, and —
+# after one byte of two deltas is flipped in place — exit 3 naming the
+# rotten delta on stderr, with the manifest that lists both counted as
+# one corrupt file.
+stage_verify() {
+  dune build bin/treesketch.exe
+  _ts=_build/default/bin/treesketch.exe
+  _dir=$(mktemp -d)
+  "$_ts" datagen -d xmark --scale 0.05 -o "$_dir/doc.xml"
+  "$_ts" build "$_dir/doc.xml" --budget 2KB -o "$_dir/site.ts" >/dev/null
+  {
+    for i in 1 2 3 4 5; do
+      printf 'INGEST site <item><name>n%d</name></item>\n' "$i"
+    done
+    printf 'DELETE site item\nQUIT\n'
+  } | "$_ts" serve --catalog "$_dir" --flush-every 2 --compact-levels 0 \
+      >"$_dir/serve.log" 2>&1
+  "$_ts" verify "$_dir"/*.ts "$_dir"/.*.wal "$_dir"/.*.levels "$_dir"/.*.delta
+  _rc=0
+  "$_ts" verify "$_dir/.absent.wal" 2>/dev/null || _rc=$?
+  [ "$_rc" -eq 3 ] || { echo "verify: missing WAL exited $_rc, want 3" >&2; exit 1; }
+  for _gen in 1 2; do
+    printf '~' | dd of="$_dir/.site.l$_gen.delta" bs=1 seek=40 conv=notrunc \
+      2>/dev/null
+  done
+  _delta="$_dir/.site.l1.delta"
+  _rc=0
+  "$_ts" verify "$_dir"/*.ts "$_dir"/.*.levels "$_delta" \
+    2>"$_dir/verify.err" || _rc=$?
+  cat "$_dir/verify.err"
+  [ "$_rc" -eq 3 ] || { echo "verify: rotten delta exited $_rc, want 3" >&2; exit 1; }
+  grep -q "^corrupt $_delta: " "$_dir/verify.err" ||
+    { echo "verify: rotten delta not named on stderr" >&2; exit 1; }
+  grep -q "^verify: 2 of 3 file(s) corrupt$" "$_dir/verify.err" ||
+    { echo "verify: closing line must count files, not faults" >&2; exit 1; }
+  rm -rf "$_dir"
 }
 
 # The chaos harness on its own so its seed line and e2e tally are
@@ -184,6 +224,7 @@ stage_build_bench() {
 
 stage build              stage_build
 stage test               stage_test
+stage verify             stage_verify
 stage chaos              stage_chaos
 stage pool-chaos         stage_pool_chaos
 stage coordinator-chaos  stage_coordinator_chaos
