@@ -761,15 +761,17 @@ let coordinate_cmd =
   Cmd.v
     (Cmd.info "coordinate"
        ~doc:
-         "Front a group of identical $(b,treesketch serve) replicas \
-          with a hedged scatter-gather coordinator: QUERY/ANSWER go to \
-          the healthiest replica and race a second one after \
-          $(b,--hedge-after); hedges and retries are capped by a \
-          per-group retry budget; unhealthy replicas are ejected and \
-          re-admitted on probation.  Single-target verbs (BUILD, \
-          RELOAD, CANCEL, JOBS) are refused — address one replica \
-          directly with $(b,treesketch client --target).  SIGTERM or \
-          SIGINT drains gracefully and exits 0.")
+         ("Front a group of identical $(b,treesketch serve) replicas \
+           with a hedged scatter-gather coordinator: QUERY/ANSWER go to \
+           the healthiest replica and race a second one after \
+           $(b,--hedge-after); hedges and retries are capped by a \
+           per-group retry budget; unhealthy replicas are ejected and \
+           re-admitted on probation.  Single-target verbs ("
+         ^ String.concat ", "
+             (List.filter (( <> ) "QUIT") Serve.Protocol.single_target_verbs)
+         ^ ") are refused — address one replica directly with \
+            $(b,treesketch client --target).  SIGTERM or SIGINT drains \
+            gracefully and exits 0."))
     Term.(
       const run $ replicas $ socket $ hedge_after $ timeout
       $ connect_timeout $ attempts $ retry_ratio $ retry_burst
@@ -779,6 +781,8 @@ let coordinate_cmd =
 (* ------------------------------- client ------------------------------- *)
 
 let client_cmd =
+  let verb_list verbs = "(" ^ String.concat ", " verbs ^ ")" in
+  let single_target = verb_list Serve.Protocol.single_target_verbs in
   let sockets =
     Arg.(
       value
@@ -795,11 +799,12 @@ let client_cmd =
       & opt_all string []
       & info [ "r"; "replica" ] ~docv:"PATH"
           ~doc:
-            "Member of a replica group all serving the same catalog \
-             (repeatable; mutually exclusive with $(b,--socket)).  \
-             Reads fail over across the group, but single-target verbs \
-             (BUILD, RELOAD, CANCEL, JOBS, QUIT) are refused unless \
-             $(b,--target) names the replica they are for.")
+            ("Member of a replica group all serving the same catalog \
+              (repeatable; mutually exclusive with $(b,--socket)).  \
+              Reads fail over across the group, but single-target verbs "
+            ^ single_target
+            ^ " are refused unless $(b,--target) names the replica they \
+               are for."))
   in
   let target =
     Arg.(
@@ -807,8 +812,8 @@ let client_cmd =
       & opt (some string) None
       & info [ "target" ] ~docv:"PATH"
           ~doc:
-            "With $(b,--replica): the one socket single-target verbs \
-             (BUILD, RELOAD, CANCEL, JOBS, QUIT) are sent to.")
+            ("With $(b,--replica): the one socket single-target verbs "
+            ^ single_target ^ " are sent to."))
   in
   let timeout =
     Arg.(
@@ -836,9 +841,13 @@ let client_cmd =
       value & flag
       & info [ "retry-unsafe" ]
           ~doc:
-            "Also retry non-idempotent verbs (BUILD, CANCEL) after a \
-             mid-flight failure.  Off by default: a retried BUILD can \
-             restart a finished build.")
+            ("Also retry non-idempotent verbs "
+            ^ verb_list
+                (List.filter
+                   (fun v -> not (List.mem v Serve.Client.idempotent_verbs))
+                   Serve.Protocol.verbs)
+            ^ " after a mid-flight failure.  Off by default: a retried \
+               BUILD can restart a finished build."))
   in
   let seed =
     Arg.(
@@ -925,14 +934,9 @@ let client_cmd =
         match target_client with
         | Some c -> send c line
         | None ->
-          let verb =
-            match String.index_opt (String.trim line) ' ' with
-            | None -> String.uppercase_ascii (String.trim line)
-            | Some i -> String.uppercase_ascii (String.sub (String.trim line) 0 i)
-          in
           print_endline
             (Serve.Protocol.error_line ~cls:"bad-request"
-               (verb
+               (Serve.Protocol.verb line
               ^ " is single-target: give --target PATH to address one \
                  replica"));
           true

@@ -35,8 +35,8 @@ let default_config =
 
 type conn = {
   fd : Unix.file_descr;
-  residue : Buffer.t;
-      (* bytes read past the last newline — the start of the next
+  reader : Transport.reader;
+      (* keeps bytes read past the last newline — the start of the next
          response if the server ever pipelines *)
 }
 
@@ -125,64 +125,18 @@ let create ?(config = default_config) paths =
 let idempotent_verbs =
   [ "PING"; "HEALTH"; "LIST"; "STAT"; "QUERY"; "ANSWER"; "JOBS"; "RELOAD" ]
 
-let verb_of line =
-  let line = String.trim line in
-  match String.index_opt line ' ' with
-  | None -> String.uppercase_ascii line
-  | Some i -> String.uppercase_ascii (String.sub line 0 i)
-
-let idempotent line = List.mem (verb_of line) idempotent_verbs
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+let idempotent line = List.mem (Protocol.verb line) idempotent_verbs
 
 let close t =
   match t.conn with
   | None -> ()
   | Some c ->
-    close_quietly c.fd;
+    Transport.close_quietly c.fd;
     t.conn <- None
 
 (* ------------------------------------------------------------------ *)
-(* Connect with timeout + failover cursor                              *)
+(* Connect + failover cursor                                          *)
 (* ------------------------------------------------------------------ *)
-
-let connect_one t path =
-  (* the one network edge that is neither a read nor a write: dialing
-     the server.  Injectable so chaos runs can exercise the failover
-     loop (and the coordinator's scatter path) without a dead socket. *)
-  match Xmldoc.Io_fault.tap Xmldoc.Io_fault.Connect ~path with
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-  | () ->
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.set_close_on_exec fd;
-  match
-    Unix.set_nonblock fd;
-    Unix.connect fd (Unix.ADDR_UNIX path)
-  with
-  | () ->
-    Unix.clear_nonblock fd;
-    Ok fd
-  | exception Unix.Unix_error ((EINPROGRESS | EWOULDBLOCK | EAGAIN), _, _) -> (
-    (* wait for the connect to resolve, but never longer than the
-       connect timeout *)
-    match Unix.select [] [ fd ] [] t.config.connect_timeout with
-    | [], [], [] ->
-      close_quietly fd;
-      Error "connect timed out"
-    | _ -> (
-      match Unix.getsockopt_error fd with
-      | None ->
-        Unix.clear_nonblock fd;
-        Ok fd
-      | Some e ->
-        close_quietly fd;
-        Error (Unix.error_message e))
-    | exception Unix.Unix_error (e, _, _) ->
-      close_quietly fd;
-      Error (Unix.error_message e))
-  | exception Unix.Unix_error (e, _, _) ->
-    close_quietly fd;
-    Error (Unix.error_message e)
 
 (* Try every endpoint once, starting at the cursor; stick (cursor stays)
    on success so a healthy server keeps its traffic. *)
@@ -192,11 +146,11 @@ let connect t =
     if tried >= n then Error (Io ("connect: " ^ last_err))
     else
       let i = (t.cursor + tried) mod n in
-      match connect_one t t.endpoints.(i) with
+      match Transport.connect ~timeout:t.config.connect_timeout t.endpoints.(i) with
       | Ok fd ->
         t.cursor <- i;
         t.last_endpoint <- Some t.endpoints.(i);
-        let c = { fd; residue = Buffer.create 256 } in
+        let c = { fd; reader = Transport.reader fd } in
         t.conn <- Some c;
         Ok c
       | Error msg ->
@@ -207,75 +161,6 @@ let connect t =
     t.last_endpoint <- Some t.endpoints.(t.cursor);
     Ok c
   | None -> go 0 "no endpoints"
-
-(* ------------------------------------------------------------------ *)
-(* Deadline-bounded send / receive                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Every blocking step checks the wall-clock deadline; [`Deadline] and
-   [`Io] are distinguished because only the former maps to exit 4. *)
-
-let send_all fd data ~deadline =
-  let len = Bytes.length data in
-  let rec go off =
-    if off >= len then Ok ()
-    else
-      let budget = deadline -. Unix.gettimeofday () in
-      if budget <= 0.0 then Error (`Deadline "send")
-      else
-        match Unix.select [] [ fd ] [] budget with
-        | _, [], _ -> Error (`Deadline "send")
-        | _ -> (
-          match Unix.write fd data off (len - off) with
-          | n -> go (off + n)
-          | exception Unix.Unix_error (EINTR, _, _) -> go off
-          | exception Unix.Unix_error (e, _, _) ->
-            Error (`Io ("write: " ^ Unix.error_message e)))
-        | exception Unix.Unix_error (EINTR, _, _) -> go off
-        | exception Unix.Unix_error (e, _, _) ->
-          Error (`Io ("select: " ^ Unix.error_message e))
-  in
-  go 0
-
-let recv_line c ~deadline =
-  let chunk = Bytes.create 4096 in
-  let rec go () =
-    let buf = Buffer.contents c.residue in
-    match String.index_opt buf '\n' with
-    | Some i ->
-      let line = String.sub buf 0 i in
-      Buffer.clear c.residue;
-      Buffer.add_substring c.residue buf (i + 1) (String.length buf - i - 1);
-      (* a bare CR before the newline is tolerated, not required *)
-      let line =
-        if line <> "" && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
-      in
-      Ok line
-    | None -> (
-      let budget = deadline -. Unix.gettimeofday () in
-      if budget <= 0.0 then Error (`Deadline "receive")
-      else
-        match Unix.select [ c.fd ] [] [] budget with
-        | [], _, _ -> Error (`Deadline "receive")
-        | _ -> (
-          match Unix.read c.fd chunk 0 (Bytes.length chunk) with
-          | 0 ->
-            if Buffer.length c.residue > 0 then
-              Error (`Bad_response "connection closed mid-line")
-            else Error (`Io "connection closed")
-          | n ->
-            Buffer.add_subbytes c.residue chunk 0 n;
-            go ()
-          | exception Unix.Unix_error (EINTR, _, _) -> go ()
-          | exception Unix.Unix_error (e, _, _) ->
-            Error (`Io ("read: " ^ Unix.error_message e)))
-        | exception Unix.Unix_error (EINTR, _, _) -> go ()
-        | exception Unix.Unix_error (e, _, _) ->
-          Error (`Io ("select: " ^ Unix.error_message e)))
-  in
-  go ()
 
 (* ------------------------------------------------------------------ *)
 (* The retry loop                                                      *)
@@ -429,7 +314,7 @@ let request_unchecked t line =
      over could still occupy a server for 5 more. *)
   let payload () =
     let elapsed = Unix.gettimeofday () -. t0 in
-    Bytes.of_string (Protocol.with_remaining_deadline line ~elapsed ^ "\n")
+    Protocol.with_remaining_deadline line ~elapsed ^ "\n"
   in
   let rec attempt k ~may_retry_midflight =
     let fail err =
@@ -443,13 +328,14 @@ let request_unchecked t line =
         attempt (k + 1) ~may_retry_midflight
       end
       else
+        let tag msg = Printf.sprintf "%s (attempt %d/%d)" msg k t.config.attempts in
+        (* [Deadline] and [Io] stay apart: only the former maps to exit 4 *)
         Error
           (match err with
-          | `Deadline msg ->
-            Deadline (Printf.sprintf "%s (attempt %d/%d)" msg k t.config.attempts)
-          | `Io msg -> Io (Printf.sprintf "%s (attempt %d/%d)" msg k t.config.attempts)
-          | `Bad_response msg ->
-            Bad_response (Printf.sprintf "%s (attempt %d/%d)" msg k t.config.attempts))
+          | `Deadline step -> Deadline (tag step)
+          | `Closed -> Io (tag "connection closed")
+          | `Closed_mid_line -> Bad_response (tag "connection closed mid-line")
+          | `Failed msg -> Io (tag msg))
     in
     match connect t with
     | Error (Io msg) when k < t.config.attempts ->
@@ -461,43 +347,50 @@ let request_unchecked t line =
     | Error e -> Error e
     | Ok c -> (
       let deadline = Unix.gettimeofday () +. t.config.request_timeout in
-      match send_all c.fd (payload ()) ~deadline with
+      match
+        Result.bind (Transport.send c.fd (payload ()) ~deadline) (fun () ->
+            Transport.read_line c.reader ~deadline)
+      with
       | Error err -> fail err
-      | Ok () -> (
-        match recv_line c ~deadline with
-        | Error err -> fail err
-        | Ok response ->
-          if is_overloaded_response response && retryable && k < t.config.attempts
-          then begin
-            (* don't camp on a shedding server *)
-            close t;
-            backoff t k;
-            t.cursor <- (t.cursor + 1) mod Array.length t.endpoints;
-            attempt (k + 1) ~may_retry_midflight
-          end
-          else if
-            is_deferred_response response
-            && List.mem (verb_of line) mutation_verbs
-            && k < t.config.attempts
-          then begin
-            (* write-pressure shed: the server retained nothing, so the
-               resend cannot duplicate the mutation.  Honor retry-after
-               with upward jitter (never resend early), keep the
-               connection AND the cursor: a mutation targets one
-               server's WAL — failing over would write elsewhere. *)
-            (match retry_after_ms response with
-            | Some ms when ms > 0 ->
-              let jitter = 1.0 +. (Random.State.float t.rng 1.0 /. 2.0) in
-              Unix.sleepf (float_of_int ms /. 1000. *. jitter)
-            | Some _ | None -> backoff t k);
-            attempt (k + 1) ~may_retry_midflight
-          end
-          else Ok response))
+      | Ok response ->
+        if is_overloaded_response response && retryable && k < t.config.attempts
+        then begin
+          (* don't camp on a shedding server *)
+          close t;
+          backoff t k;
+          t.cursor <- (t.cursor + 1) mod Array.length t.endpoints;
+          attempt (k + 1) ~may_retry_midflight
+        end
+        else if
+          is_deferred_response response
+          && List.mem (Protocol.verb line) mutation_verbs
+          && k < t.config.attempts
+        then begin
+          (* write-pressure shed: the server retained nothing, so the
+             resend cannot duplicate the mutation.  Honor retry-after
+             with upward jitter (never resend early), keep the
+             connection AND the cursor: a mutation targets one
+             server's WAL — failing over would write elsewhere. *)
+          (match retry_after_ms response with
+          | Some ms when ms > 0 ->
+            let jitter = 1.0 +. (Random.State.float t.rng 1.0 /. 2.0) in
+            Unix.sleepf (float_of_int ms /. 1000. *. jitter)
+          | Some _ | None -> backoff t k);
+          attempt (k + 1) ~may_retry_midflight
+        end
+        else Ok response)
   in
   attempt 1 ~may_retry_midflight:retryable
 
 let request t line =
   match if breaker_enabled t then Protocol.query_target line else None with
+  | None when Protocol.verb line = "FETCH" ->
+    (* the one multi-line response: its chunk lines would answer the
+       requests that follow on this connection *)
+    Ok
+      (Protocol.error_line ~cls:"bad-request"
+         "FETCH streams a multi-line response the line client does not \
+          relay; peer repair pulls snapshots itself")
   | None -> request_unchecked t line
   | Some name -> (
     (* gate against the endpoint this request will actually dial first;

@@ -12,14 +12,16 @@
     A request is retried only when doing so cannot duplicate a side
     effect:
 
-    - {e Read-only verbs} (PING, HEALTH, LIST, STAT, QUERY, ANSWER,
-      JOBS, RELOAD) are idempotent and always retried on transport
-      failure, on timeout, and on an [error overloaded ...] response.
-    - {e Mutating verbs} (BUILD, CANCEL, QUIT and anything
-      unrecognized) are retried only while the failure provably
-      happened {e before} the request was written (connect failure);
-      after the bytes may have reached a server, the error is surfaced
-      instead — unless the caller opts in with [retry_unsafe].
+    - {e Idempotent verbs} ({!idempotent_verbs}: PING, HEALTH, LIST,
+      STAT, QUERY, ANSWER, JOBS, RELOAD) are always retried on
+      transport failure, on timeout, and on an [error overloaded ...]
+      response.
+    - {e Every other verb} (BUILD, INGEST, DELETE, UPDATE, CANCEL,
+      SCRUB, REPAIR, QUIT and anything unrecognized) is retried only
+      while the failure provably happened {e before} the request was
+      written (connect failure); after the bytes may have reached a
+      server, the error is surfaced instead — unless the caller opts in
+      with [retry_unsafe].
     - {e Write-pressure sheds} are the one exception for mutations: an
       [error ingest-deferred retry-after=<ms> ...] response to INGEST,
       DELETE or UPDATE means the server shed the mutation {e without
@@ -49,7 +51,7 @@ type config = {
   jitter_seed : int;
       (** seeds the backoff jitter — same seed, same delays *)
   retry_unsafe : bool;
-      (** retry non-idempotent verbs (BUILD/CANCEL) too; off by
+      (** retry the verbs outside {!idempotent_verbs} too; off by
           default because a retried BUILD can restart a build *)
   breaker_threshold : int;
       (** consecutive worker-crash/deadline failures on one synopsis
@@ -122,10 +124,12 @@ val breaker_state :
     success has ever been recorded for it — exposed for tests and
     diagnostics. *)
 
+val idempotent_verbs : string list
+(** The verbs safe to resend after they may have reached a server. *)
+
 val idempotent : string -> bool
-(** [idempotent line] — is the request's verb safe to retry after it
-    may have reached a server?  Case-insensitive; unknown verbs are
-    not. *)
+(** [idempotent line] — is the request's verb one of
+    {!idempotent_verbs}?  Case-insensitive; unknown verbs are not. *)
 
 val is_deferred_response : string -> bool
 (** Is this response line an [error ingest-deferred ...] write-pressure
@@ -141,6 +145,10 @@ val request : t -> string -> (string, error) result
     after at most [config.attempts] tries across the configured
     sockets.  Never raises; never hangs past
     [attempts * (connect_timeout + request_timeout + backoff)].
+
+    A FETCH line is never sent: its response is the protocol's one
+    multi-line stream, which would desynchronize the connection, so
+    the client answers it itself with an [error bad-request] line.
 
     A [-deadline=D] option on the line is {e propagated, not copied}:
     each attempt forwards [D] minus the wall-clock time this client has

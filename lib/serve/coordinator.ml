@@ -16,9 +16,9 @@
    - deadline propagation: the forwarded line carries the caller's
      [-deadline] minus the time already burned queueing and
      connecting, never more;
-   - single-target verbs (BUILD, RELOAD, CANCEL, JOBS, QUIT) are
-     refused outright — a group must never pick the target of a
-     side effect implicitly. *)
+   - single-target verbs ({!Protocol.single_target_verbs}) are refused
+     outright, except QUIT, which ends the caller's own connection — a
+     group must never pick the target of a side effect implicitly. *)
 
 type config = {
   hedge_after : float;
@@ -124,102 +124,6 @@ let install_drain_signals t =
   with Invalid_argument _ | Sys_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Transport plumbing (deadline-bounded, fault-injectable)             *)
-(* ------------------------------------------------------------------ *)
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let connect_to t path =
-  match Xmldoc.Io_fault.tap Xmldoc.Io_fault.Connect ~path with
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-  | () -> (
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.set_close_on_exec fd;
-    match
-      Unix.set_nonblock fd;
-      Unix.connect fd (Unix.ADDR_UNIX path)
-    with
-    | () ->
-      Unix.clear_nonblock fd;
-      Ok fd
-    | exception Unix.Unix_error ((EINPROGRESS | EWOULDBLOCK | EAGAIN), _, _) -> (
-      match Unix.select [] [ fd ] [] t.config.connect_timeout with
-      | [], [], [] ->
-        close_quietly fd;
-        Error "connect timed out"
-      | _ -> (
-        match Unix.getsockopt_error fd with
-        | None ->
-          Unix.clear_nonblock fd;
-          Ok fd
-        | Some e ->
-          close_quietly fd;
-          Error (Unix.error_message e))
-      | exception Unix.Unix_error (e, _, _) ->
-        close_quietly fd;
-        Error (Unix.error_message e))
-    | exception Unix.Unix_error (e, _, _) ->
-      close_quietly fd;
-      Error (Unix.error_message e))
-
-let send_all fd data ~deadline =
-  let len = Bytes.length data in
-  let rec go off =
-    if off >= len then Ok ()
-    else
-      let budget = deadline -. Unix.gettimeofday () in
-      if budget <= 0.0 then Error "send deadline"
-      else
-        match Unix.select [] [ fd ] [] budget with
-        | _, [], _ -> Error "send deadline"
-        | _ -> (
-          match Unix.write fd data off (len - off) with
-          | n -> go (off + n)
-          | exception Unix.Unix_error (EINTR, _, _) -> go off
-          | exception Unix.Unix_error (e, _, _) ->
-            Error ("write: " ^ Unix.error_message e))
-        | exception Unix.Unix_error (EINTR, _, _) -> go off
-        | exception Unix.Unix_error (e, _, _) ->
-          Error ("select: " ^ Unix.error_message e)
-  in
-  go 0
-
-let recv_line fd ~deadline =
-  let buf = Buffer.create 256 in
-  let chunk = Bytes.create 4096 in
-  let rec go () =
-    let s = Buffer.contents buf in
-    match String.index_opt s '\n' with
-    | Some i ->
-      let line = String.sub s 0 i in
-      let line =
-        if line <> "" && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
-      in
-      Ok line
-    | None -> (
-      let budget = deadline -. Unix.gettimeofday () in
-      if budget <= 0.0 then Error "receive deadline"
-      else
-        match Unix.select [ fd ] [] [] budget with
-        | [], _, _ -> Error "receive deadline"
-        | _ -> (
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> Error "connection closed"
-          | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            go ()
-          | exception Unix.Unix_error (EINTR, _, _) -> go ()
-          | exception Unix.Unix_error (e, _, _) ->
-            Error ("read: " ^ Unix.error_message e))
-        | exception Unix.Unix_error (EINTR, _, _) -> go ()
-        | exception Unix.Unix_error (e, _, _) ->
-          Error ("select: " ^ Unix.error_message e))
-  in
-  go ()
-
-(* ------------------------------------------------------------------ *)
 (* The scatter                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -245,7 +149,7 @@ let retryable_response line =
 
 type flight = {
   fd : Unix.file_descr;
-  buf : Buffer.t;
+  reader : Transport.reader;
   r : Replica.replica;
   hedge : bool;  (* charged against the retry budget *)
 }
@@ -282,34 +186,34 @@ let scatter t ~hedged ~line =
           decr attempts_left;
           let elapsed = Unix.gettimeofday () -. t0 in
           let line' = Protocol.with_remaining_deadline line ~elapsed in
-          (match connect_to t (Replica.path r) with
-          | Error msg ->
+          let failed msg =
             last_err := Replica.path r ^ ": " ^ msg;
             Replica.note_failure t.group r;
             if !attempts_left > 0 then go () else false
+          in
+          match Transport.connect ~timeout:t.config.connect_timeout (Replica.path r) with
+          | Error msg -> failed msg
           | Ok fd -> (
             match
-              send_all fd
-                (Bytes.of_string (line' ^ "\n"))
+              Transport.send fd (line' ^ "\n")
                 ~deadline:(Unix.gettimeofday () +. t.config.connect_timeout)
             with
-            | Error msg ->
-              close_quietly fd;
-              last_err := Replica.path r ^ ": " ^ msg;
-              Replica.note_failure t.group r;
-              if !attempts_left > 0 then go () else false
+            | Error e ->
+              Transport.close_quietly fd;
+              failed (Transport.error_message e)
             | Ok () ->
-              flights := { fd; buf = Buffer.create 256; r; hedge = charge } :: !flights;
-              true))
+              flights :=
+                { fd; reader = Transport.reader fd; r; hedge = charge } :: !flights;
+              true)
       in
       go ()
     end
   in
   let close_flight f =
-    close_quietly f.fd;
+    Transport.close_quietly f.fd;
     flights := List.filter (fun g -> g.fd != f.fd) !flights
   in
-  let close_all () = List.iter (fun f -> close_quietly f.fd) !flights in
+  let close_all () = List.iter (fun f -> Transport.close_quietly f.fd) !flights in
   let give_up now =
     log_event t "event=scatter-give-up elapsed=%.3fs fallback=%s last=%s"
       (now -. t0)
@@ -328,50 +232,34 @@ let scatter t ~hedged ~line =
   let hedge_at = ref (if hedged then t0 +. t.config.hedge_after else infinity) in
   let winner = ref None in
   let read_flight f =
-    let chunk = Bytes.create 4096 in
-    match Unix.read f.fd chunk 0 (Bytes.length chunk) with
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-    | exception Unix.Unix_error (e, _, _) ->
-      last_err := Replica.path f.r ^ ": read: " ^ Unix.error_message e;
+    match Transport.read_step f.reader with
+    | Error e ->
+      last_err := Replica.path f.r ^ ": " ^ Transport.error_message e;
       Replica.note_failure t.group f.r;
       close_flight f
-    | 0 ->
-      last_err := Replica.path f.r ^ ": connection closed";
-      Replica.note_failure t.group f.r;
-      close_flight f
-    | n -> (
-      Buffer.add_subbytes f.buf chunk 0 n;
-      let s = Buffer.contents f.buf in
-      match String.index_opt s '\n' with
-      | None -> ()
-      | Some i ->
-        let line =
-          let l = String.sub s 0 i in
-          if l <> "" && l.[String.length l - 1] = '\r' then
-            String.sub l 0 (String.length l - 1)
-          else l
-        in
-        if not (well_formed_response line) then begin
-          last_err := Replica.path f.r ^ ": malformed response";
-          Replica.note_failure t.group f.r;
-          close_flight f
-        end
-        else if
-          retryable_response line
-          && (List.length !flights > 1 || (!order <> [] && !attempts_left > 0))
-        then begin
-          (* that member is sick; keep its verdict as a fallback and
-             let someone else answer *)
-          fallback := Some line;
-          last_err := Replica.path f.r ^ ": " ^ line;
-          Replica.note_failure t.group f.r;
-          close_flight f
-        end
-        else begin
-          Replica.note_success t.group f.r;
-          if f.hedge then bump (fun s -> s.hedges_won <- s.hedges_won + 1) t;
-          winner := Some line
-        end)
+    | Ok None -> ()
+    | Ok (Some line) ->
+      if not (well_formed_response line) then begin
+        last_err := Replica.path f.r ^ ": malformed response";
+        Replica.note_failure t.group f.r;
+        close_flight f
+      end
+      else if
+        retryable_response line
+        && (List.length !flights > 1 || (!order <> [] && !attempts_left > 0))
+      then begin
+        (* that member is sick; keep its verdict as a fallback and
+           let someone else answer *)
+        fallback := Some line;
+        last_err := Replica.path f.r ^ ": " ^ line;
+        Replica.note_failure t.group f.r;
+        close_flight f
+      end
+      else begin
+        Replica.note_success t.group f.r;
+        if f.hedge then bump (fun s -> s.hedges_won <- s.hedges_won + 1) t;
+        winner := Some line
+      end
   in
   let rec loop () =
     match !winner with
@@ -466,12 +354,6 @@ let health_line t =
     (Replica.stale_count t.group)
     (match reason with None -> "" | Some r -> " reason=" ^ r)
 
-let verb_of line =
-  let line = String.trim line in
-  match String.index_opt line ' ' with
-  | None -> String.uppercase_ascii line
-  | Some i -> String.uppercase_ascii (String.sub line 0 i)
-
 let handle_request t ~line (req : Protocol.request) =
   match req with
   | Ping -> ("pong", false)
@@ -481,31 +363,27 @@ let handle_request t ~line (req : Protocol.request) =
      gets the tail-latency hedge — an unhedged read against a frozen
      primary would burn the whole request timeout with no rescue *)
   | Query _ | Answer _ | List | Stat _ -> (scatter t ~hedged:true ~line, false)
-  | Ingest _ | Delete _ | Update _ ->
-    (* Mutations are single-target too, but the refusal can at least
-       point at a member that would ADMIT the write: write-aware
-       ranking sorts shedding/readonly members last, so the suggestion
-       is the group's most writable replica right now. *)
+  | Ingest _ | Delete _ | Update _ | Reload _ | Build _ | Jobs | Cancel _
+  | Scrub | Fetch _ | Repair ->
     bump (fun s -> s.refused <- s.refused + 1) t;
+    (* A refused mutation can at least point at a member that would
+       ADMIT the write: write-aware ranking sorts shedding/readonly
+       members last, so the suggestion is the group's most writable
+       replica right now. *)
     let suggestion =
-      match Replica.rank ~writes:true t.group with
-      | r :: _ when Replica.write_penalty r = 0 ->
-        Printf.sprintf " (try --target %s)" (Replica.path r)
+      match req with
+      | Ingest _ | Delete _ | Update _ -> (
+        match Replica.rank ~writes:true t.group with
+        | r :: _ when Replica.write_penalty r = 0 ->
+          Printf.sprintf " (try --target %s)" (Replica.path r)
+        | _ -> "")
       | _ -> ""
     in
     ( Protocol.error_line ~cls:"bad-request"
         (Printf.sprintf
            "%s is single-target: a replica group cannot pick its target — \
             address one replica directly (treesketch client --target)%s"
-           (verb_of line) suggestion),
-      false )
-  | Reload _ | Build _ | Jobs | Cancel _ | Scrub | Fetch _ | Repair ->
-    bump (fun s -> s.refused <- s.refused + 1) t;
-    ( Protocol.error_line ~cls:"bad-request"
-        (Printf.sprintf
-           "%s is single-target: a replica group cannot pick its target — \
-            address one replica directly (treesketch client --target)"
-           (verb_of line)),
+           (Protocol.verb line) suggestion),
       false )
 
 let handle_line t line =
@@ -585,29 +463,28 @@ let probed_hash line =
     (String.split_on_char ' ' line)
 
 let probe_replica t r =
-  let path = Replica.path r in
-  match connect_to t path with
+  match Transport.connect ~timeout:t.config.connect_timeout (Replica.path r) with
   | Error _ -> Replica.note_probe t.group r `Failed
   | Ok fd ->
     Fun.protect
-      ~finally:(fun () -> close_quietly fd)
+      ~finally:(fun () -> Transport.close_quietly fd)
       (fun () ->
         let deadline = Unix.gettimeofday () +. t.config.probe_timeout in
-        match send_all fd (Bytes.of_string "HEALTH\n") ~deadline with
-        | Error _ -> Replica.note_probe t.group r `Failed
-        | Ok () -> (
-          match recv_line fd ~deadline with
-          | Ok line when contains line " ready=yes" ->
-            Replica.note_probe ~load:(probed_load line)
-              ~staleness:(probed_staleness line)
-              ~write_state:(probed_write_state line)
-              ?catalog_hash:(probed_hash line) t.group r `Ready
-          | Ok line when starts_with "ok health" line ->
-            Replica.note_probe ~load:(probed_load line)
-              ~staleness:(probed_staleness line)
-              ~write_state:(probed_write_state line)
-              ?catalog_hash:(probed_hash line) t.group r `Not_ready
-          | Ok _ | Error _ -> Replica.note_probe t.group r `Failed))
+        match
+          Result.bind (Transport.send fd "HEALTH\n" ~deadline) (fun () ->
+              Transport.read_line (Transport.reader fd) ~deadline)
+        with
+        | Ok line when contains line " ready=yes" ->
+          Replica.note_probe ~load:(probed_load line)
+            ~staleness:(probed_staleness line)
+            ~write_state:(probed_write_state line)
+            ?catalog_hash:(probed_hash line) t.group r `Ready
+        | Ok line when starts_with "ok health" line ->
+          Replica.note_probe ~load:(probed_load line)
+            ~staleness:(probed_staleness line)
+            ~write_state:(probed_write_state line)
+            ?catalog_hash:(probed_hash line) t.group r `Not_ready
+        | Ok _ | Error _ -> Replica.note_probe t.group r `Failed)
 
 let probe_loop t =
   while not t.draining do
@@ -670,7 +547,7 @@ let serve_socket ?(backlog = 64) t ~path =
       ~finally:(fun () ->
         Server.Admission.release admission;
         unregister fd;
-        close_quietly fd)
+        Transport.close_quietly fd)
       (fun () ->
         let ic = Unix.in_channel_of_descr fd in
         let oc = Unix.out_channel_of_descr fd in
@@ -728,14 +605,14 @@ let serve_socket ?(backlog = 64) t ~path =
                  ^ "\n");
                flush oc
              with Sys_error _ -> ());
-            close_quietly fd
+            Transport.close_quietly fd
           end);
         accept_loop ()
   in
   accept_loop ();
   (* graceful drain: stop accepting, let in-flight scatters finish,
      sever stragglers, stop the prober, flush final counters *)
-  close_quietly sock;
+  Transport.close_quietly sock;
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   log_event t "event=draining inflight=%d deadline=%.1fs"
     (Server.Admission.in_flight admission)

@@ -25,10 +25,13 @@
       rewritten to what the caller has {e left} (minus coordinator
       queueing/connect time) — a replica is never granted more budget
       than exists ({!Protocol.with_remaining_deadline}).
-    - {e Single-target refusal}: BUILD, RELOAD, CANCEL and JOBS are
-      answered [error bad-request ...] — a group must never pick the
-      target of a side effect implicitly.  Operators address one
-      replica directly ([treesketch client --target]).
+    - {e Single-target refusal}: every verb in
+      {!Protocol.single_target_verbs} but QUIT (BUILD, INGEST, DELETE,
+      UPDATE, RELOAD, CANCEL, JOBS, SCRUB, FETCH, REPAIR) is answered
+      [error bad-request ...] — a group must never pick the target of a
+      side effect implicitly.  Operators address one replica directly
+      ([treesketch client --target]); a refused mutation names the
+      group's most writable member.
 
     Every read (QUERY, ANSWER, LIST, STAT) is hedged: reads are
     idempotent across an identical group, and an unhedged read whose

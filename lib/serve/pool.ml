@@ -68,8 +68,6 @@ let log_event t fmt = Printf.ksprintf t.log fmt
 
 let now () = Unix.gettimeofday ()
 
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 (* ------------------------------------------------------------------ *)
 (* Worker child                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -202,19 +200,19 @@ let spawn_u t w =
   let resp_r, resp_w = Unix.pipe () in
   match Unix.fork () with
   | exception e ->
-    List.iter close_quietly [ req_r; req_w; resp_r; resp_w ];
+    List.iter Transport.close_quietly [ req_r; req_w; resp_r; resp_w ];
     raise e
   | 0 ->
     (* Child: drop the parent's ends, and the parent-side pipes of
        every sibling — otherwise a sibling holding a copy of our
        request pipe's write end would keep us from ever seeing EOF. *)
-    close_quietly req_w;
-    close_quietly resp_r;
+    Transport.close_quietly req_w;
+    Transport.close_quietly resp_r;
     Array.iter
       (fun (sib : worker) ->
         if sib.pid >= 0 && sib.id <> w.id then begin
-          close_quietly sib.to_child;
-          close_quietly sib.from_child
+          Transport.close_quietly sib.to_child;
+          Transport.close_quietly sib.from_child
         end)
       t.slots;
     (* [worker_main] only ever leaves via [Unix._exit]; 125 is the
@@ -222,8 +220,8 @@ let spawn_u t w =
     (try worker_main t.config t.dir req_r resp_w
      with _ -> Unix._exit 125)
   | pid ->
-    close_quietly req_r;
-    close_quietly resp_w;
+    Transport.close_quietly req_r;
+    Transport.close_quietly resp_w;
     Unix.set_close_on_exec req_w;
     Unix.set_close_on_exec resp_r;
     w.pid <- pid;
@@ -260,8 +258,8 @@ let kill_u t w ~reason =
     (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
     (try ignore (Unix.waitpid [] pid : int * Unix.process_status)
      with Unix.Unix_error _ -> ());
-    close_quietly w.to_child;
-    close_quietly w.from_child;
+    Transport.close_quietly w.to_child;
+    Transport.close_quietly w.from_child;
     w.pid <- -1;
     w.busy <- false;
     w.consecutive_crashes <- w.consecutive_crashes + 1;
@@ -300,55 +298,6 @@ let poisoned_response t ~name ~query_key =
 (* ------------------------------------------------------------------ *)
 (* Parent: request I/O with a hard watchdog                            *)
 (* ------------------------------------------------------------------ *)
-
-let write_all fd s ~give_up =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
-  let rec go off =
-    if off >= len then Ok ()
-    else begin
-      let timeout = give_up -. now () in
-      if timeout <= 0.0 then Error `Timeout
-      else
-        match Unix.select [] [ fd ] [] timeout with
-        | exception Unix.Unix_error (EINTR, _, _) -> go off
-        | exception Unix.Unix_error _ -> Error `Io
-        | _, [], _ -> Error `Timeout
-        | _ -> (
-          match Unix.write fd b off (len - off) with
-          | n -> go (off + n)
-          | exception Unix.Unix_error (EINTR, _, _) -> go off
-          | exception Unix.Unix_error _ -> Error `Io)
-    end
-  in
-  go 0
-
-let read_line fd ~give_up =
-  let buf = Buffer.create 256 in
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    let timeout = give_up -. now () in
-    if timeout <= 0.0 then `Timeout
-    else
-      match Unix.select [ fd ] [] [] timeout with
-      | exception Unix.Unix_error (EINTR, _, _) -> go ()
-      | exception Unix.Unix_error _ -> `Eof
-      | [], _, _ -> `Timeout
-      | _ -> (
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | exception Unix.Unix_error (EINTR, _, _) -> go ()
-        | exception Unix.Unix_error _ -> `Eof
-        | 0 -> `Eof
-        | n -> (
-          match Bytes.index_from_opt chunk 0 '\n' with
-          | Some i when i < n ->
-            Buffer.add_subbytes buf chunk 0 i;
-            `Line (Buffer.contents buf)
-          | _ ->
-            Buffer.add_subbytes buf chunk 0 n;
-            go ()))
-  in
-  go ()
 
 let watchdog_for t (opts : Protocol.opts) =
   let relative =
@@ -418,21 +367,21 @@ let exec t ~name ~query_key ~opts ~line =
             record_poison_u t ~name ~query_key);
         Protocol.fault_line (Xmldoc.Fault.Worker_crash { reason })
       in
-      (match write_all w.to_child (line ^ "\n") ~give_up with
-      | Error `Timeout ->
+      (match Transport.send w.to_child (line ^ "\n") ~deadline:give_up with
+      | Error (`Deadline _) ->
         crash (Printf.sprintf "worker %d wedged before reading the request" w.id)
-      | Error `Io ->
+      | Error (`Failed _) ->
         crash (Printf.sprintf "worker %d died before reading the request" w.id)
       | Ok () -> (
-        match read_line w.from_child ~give_up with
-        | `Timeout ->
+        match Transport.read_line (Transport.reader w.from_child) ~deadline:give_up with
+        | Error (`Deadline _) ->
           crash
             (Printf.sprintf
                "hard watchdog (%.2fs) expired mid-evaluation; worker killed"
                watchdog)
-        | `Eof ->
+        | Error (`Closed | `Closed_mid_line | `Failed _) ->
           crash "worker died mid-evaluation (crash, OOM kill, or signal)"
-        | `Line response ->
+        | Ok response ->
           Mutex.protect t.lock (fun () ->
               w.busy <- false;
               w.consecutive_crashes <- 0;
@@ -532,8 +481,8 @@ let shutdown t =
               (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
               (try ignore (Unix.waitpid [] w.pid : int * Unix.process_status)
                with Unix.Unix_error _ -> ());
-              close_quietly w.to_child;
-              close_quietly w.from_child;
+              Transport.close_quietly w.to_child;
+              Transport.close_quietly w.from_child;
               w.pid <- -1
             end
           end)

@@ -31,6 +31,16 @@ type request =
 let split_words line =
   List.filter (fun w -> w <> "") (String.split_on_char ' ' (String.trim line))
 
+let verbs =
+  [ "PING"; "HEALTH"; "LIST"; "RELOAD"; "STAT"; "QUERY"; "ANSWER"; "BUILD";
+    "INGEST"; "DELETE"; "UPDATE"; "JOBS"; "CANCEL"; "SCRUB"; "FETCH";
+    "REPAIR"; "QUIT" ]
+
+let verb line =
+  match split_words line with
+  | [] -> ""
+  | v :: _ -> String.uppercase_ascii v
+
 let parse_opt opts tok =
   match String.index_opt tok '=' with
   | None -> Error (Printf.sprintf "malformed option %S (want -key=value)" tok)
@@ -162,11 +172,11 @@ let parse line =
       ->
       Error (Printf.sprintf "%s takes no operands" (String.uppercase_ascii verb))
     | v, _ ->
+      let last = List.length verbs - 1 in
       Error
-        (Printf.sprintf
-           "unknown verb %S (want PING, HEALTH, LIST, RELOAD, STAT, QUERY, \
-            ANSWER, BUILD, INGEST, DELETE, UPDATE, JOBS, CANCEL, SCRUB, \
-            FETCH, REPAIR or QUIT)" v))
+        (Printf.sprintf "unknown verb %S (want %s or %s)" v
+           (String.concat ", " (List.filteri (fun i _ -> i < last) verbs))
+           (List.nth verbs last)))
 
 (* Deadline propagation.  A relay (the retrying client, the replica
    coordinator) that burned wall-clock connecting, backing off or
@@ -295,15 +305,11 @@ let with_tier line ~level =
    the scatter-gather machinery assumes one response line).  A replica
    group must not spray these across members — the coordinator refuses
    them, and a replica-mode client requires an explicit target. *)
-let single_target line =
-  match split_words line with
-  | [] -> false
-  | verb :: _ -> (
-    match String.uppercase_ascii verb with
-    | "BUILD" | "INGEST" | "DELETE" | "UPDATE" | "RELOAD" | "CANCEL" | "JOBS"
-    | "QUIT" | "SCRUB" | "FETCH" | "REPAIR" ->
-      true
-    | _ -> false)
+let single_target_verbs =
+  [ "BUILD"; "INGEST"; "DELETE"; "UPDATE"; "RELOAD"; "CANCEL"; "JOBS"; "QUIT";
+    "SCRUB"; "FETCH"; "REPAIR" ]
+
+let single_target line = List.mem (verb line) single_target_verbs
 
 let query_target line =
   match split_words line with

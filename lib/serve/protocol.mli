@@ -197,12 +197,21 @@ val with_tier : string -> level:int -> string
     other line (and [level <= 0]) passes through unchanged.  Same
     option-zone-only discipline as {!with_remaining_deadline}. *)
 
+val verbs : string list
+(** Every request verb, upper case, in the order listed above. *)
+
+val verb : string -> string
+(** A request line's verb, upper-cased ([""] for a blank line). *)
+
+val single_target_verbs : string list
+(** The verbs bound to ONE server: BUILD, INGEST, DELETE, UPDATE,
+    RELOAD, CANCEL, JOBS, QUIT, SCRUB, FETCH and REPAIR. *)
+
 val single_target : string -> bool
-(** Is this request's verb bound to ONE server (BUILD, INGEST, DELETE,
-    UPDATE, RELOAD, CANCEL, JOBS, QUIT, SCRUB, FETCH, REPAIR)?  A replica-group relay must
-    refuse to pick a target implicitly: the coordinator answers
-    [error bad-request], and the replica-mode client requires an
-    explicit [--target].  Case-insensitive. *)
+(** Is this request's verb one of {!single_target_verbs}?  A
+    replica-group relay must refuse to pick a target implicitly: the
+    coordinator answers [error bad-request], and the replica-mode
+    client requires an explicit [--target].  Case-insensitive. *)
 
 val query_target : string -> string option
 (** The synopsis name a QUERY/ANSWER request line targets, skipping

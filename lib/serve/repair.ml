@@ -128,134 +128,32 @@ let render_fetch ~path ~name text =
 (* Transport (pull side)                                               *)
 (* ------------------------------------------------------------------ *)
 
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let connect ~timeout path =
-  match Xmldoc.Io_fault.tap Xmldoc.Io_fault.Connect ~path with
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-  | () -> (
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.set_close_on_exec fd;
-    match
-      Unix.set_nonblock fd;
-      Unix.connect fd (Unix.ADDR_UNIX path)
-    with
-    | () ->
-      Unix.clear_nonblock fd;
-      Ok fd
-    | exception Unix.Unix_error ((EINPROGRESS | EWOULDBLOCK | EAGAIN), _, _) -> (
-      match Unix.select [] [ fd ] [] timeout with
-      | [], [], [] ->
-        close_quietly fd;
-        Error "connect timed out"
-      | _ -> (
-        match Unix.getsockopt_error fd with
-        | None ->
-          Unix.clear_nonblock fd;
-          Ok fd
-        | Some e ->
-          close_quietly fd;
-          Error (Unix.error_message e))
-      | exception Unix.Unix_error (e, _, _) ->
-        close_quietly fd;
-        Error (Unix.error_message e))
-    | exception Unix.Unix_error (e, _, _) ->
-      close_quietly fd;
-      Error (Unix.error_message e))
-
-let send_all fd ~path data ~deadline =
-  let data = Bytes.of_string data in
-  let len = Bytes.length data in
-  let rec go off =
-    if off >= len then Ok ()
-    else
-      let budget = deadline -. Unix.gettimeofday () in
-      if budget <= 0.0 then Error "send deadline"
-      else
-        match Unix.select [] [ fd ] [] budget with
-        | _, [], _ -> Error "send deadline"
-        | _ -> (
-          match
-            Xmldoc.Io_fault.tap Xmldoc.Io_fault.Write ~path;
-            Unix.write fd data off (len - off)
-          with
-          | n -> go (off + n)
-          | exception Unix.Unix_error (EINTR, _, _) -> go off
-          | exception Unix.Unix_error (e, _, _) ->
-            Error ("write: " ^ Unix.error_message e))
-        | exception Unix.Unix_error (EINTR, _, _) -> go off
-        | exception Unix.Unix_error (e, _, _) ->
-          Error ("select: " ^ Unix.error_message e)
-  in
-  go 0
-
-(* Line reader over a receive buffer: FETCH responses are many lines
-   on one connection, so leftover bytes after each '\n' must carry
-   over to the next call (the coordinator's one-shot reader can simply
-   drop them). *)
-type line_reader = {
-  fd : Unix.file_descr;
-  r_path : string;
-  buf : Buffer.t;
-}
-
-let reader ~path fd = { fd; r_path = path; buf = Buffer.create 4096 }
-
-let read_line_r reader ~deadline =
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    let s = Buffer.contents reader.buf in
-    match String.index_opt s '\n' with
-    | Some i ->
-      let line = String.sub s 0 i in
-      Buffer.clear reader.buf;
-      Buffer.add_string reader.buf
-        (String.sub s (i + 1) (String.length s - i - 1));
-      let line =
-        if line <> "" && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
-      in
-      Ok line
-    | None -> (
-      let budget = deadline -. Unix.gettimeofday () in
-      if budget <= 0.0 then Error "receive deadline"
-      else
-        match Unix.select [ reader.fd ] [] [] budget with
-        | [], _, _ -> Error "receive deadline"
-        | _ -> (
-          match
-            Xmldoc.Io_fault.tap Xmldoc.Io_fault.Read ~path:reader.r_path;
-            Unix.read reader.fd chunk 0 (Bytes.length chunk)
-          with
-          | 0 -> Error "connection closed"
-          | n ->
-            Buffer.add_subbytes reader.buf chunk 0 n;
-            go ()
-          | exception Unix.Unix_error (EINTR, _, _) -> go ()
-          | exception Unix.Unix_error (e, _, _) ->
-            Error ("read: " ^ Unix.error_message e))
-        | exception Unix.Unix_error (EINTR, _, _) -> go ()
-        | exception Unix.Unix_error (e, _, _) ->
-          Error ("select: " ^ Unix.error_message e))
-  in
-  go ()
-
-(* One request, one single-line response (HEALTH, LIST probing). *)
-let request_line ~timeout peer line =
-  match connect ~timeout peer with
+(* Dial [peer], send [line] and hand [k] a reader of the response's
+   lines; the connection closes when [k] returns, and every error comes
+   back prefixed with the peer.  The pull is the one outbound path with
+   Read/Write fault taps (at the peer's path): chaos plans tear FETCH
+   streams here. *)
+let exchange ~timeout peer line k =
+  match Transport.connect ~timeout peer with
   | Error e -> Error (peer ^ ": " ^ e)
   | Ok fd ->
     Fun.protect
-      ~finally:(fun () -> close_quietly fd)
+      ~finally:(fun () -> Transport.close_quietly fd)
       (fun () ->
         let deadline = Unix.gettimeofday () +. timeout in
-        match send_all fd ~path:peer (line ^ "\n") ~deadline with
-        | Error e -> Error (peer ^ ": " ^ e)
-        | Ok () -> (
-          match read_line_r (reader ~path:peer fd) ~deadline with
-          | Error e -> Error (peer ^ ": " ^ e)
-          | Ok resp -> Ok resp))
+        let r = Transport.reader ~tap:peer fd in
+        let next () =
+          Result.map_error Transport.error_message (Transport.read_line r ~deadline)
+        in
+        Result.map_error
+          (fun e -> peer ^ ": " ^ e)
+          (match Transport.send ~tap:peer fd (line ^ "\n") ~deadline with
+          | Error e -> Error (Transport.error_message e)
+          | Ok () -> k next))
+
+(* One request, one single-line response (HEALTH, LIST probing). *)
+let request_line ~timeout peer line =
+  exchange ~timeout peer line (fun next -> next ())
 
 (* ------------------------------------------------------------------ *)
 (* Header / chunk parsing (pull side)                                  *)
@@ -313,53 +211,41 @@ let parse_chunk ~index line =
    validate as a snapshot ({!Scrub.verify_string}).  Only bytes that
    survive all of it are returned. *)
 let fetch ?limits ~timeout peer name =
-  match connect ~timeout peer with
-  | Error e -> Error (peer ^ ": " ^ e)
-  | Ok fd ->
-    Fun.protect
-      ~finally:(fun () -> close_quietly fd)
-      (fun () ->
-        let deadline = Unix.gettimeofday () +. timeout in
-        match send_all fd ~path:peer ("FETCH " ^ name ^ "\n") ~deadline with
-        | Error e -> Error (peer ^ ": " ^ e)
-        | Ok () -> (
-          let r = reader ~path:peer fd in
-          match Result.bind (read_line_r r ~deadline) parse_fetch_header with
-          | Error e -> Error (peer ^ ": " ^ e)
-          | Ok (fetched_name, bytes, chunks, crc) ->
-            if fetched_name <> name then
-              Error (Printf.sprintf "%s: peer answered for %S" peer fetched_name)
-            else begin
-              let out = Buffer.create bytes in
-              let rec pull i =
-                if i >= chunks then
-                  match read_line_r r ~deadline with
-                  | Ok "end fetch" -> Ok ()
-                  | Ok line -> Error (Printf.sprintf "expected end fetch, got %S" line)
-                  | Error e -> Error e
-                else
-                  match Result.bind (read_line_r r ~deadline) (parse_chunk ~index:i) with
-                  | Error e -> Error e
-                  | Ok raw ->
-                    Buffer.add_string out raw;
-                    pull (i + 1)
-              in
-              match pull 0 with
-              | Error e -> Error (peer ^ ": " ^ e)
-              | Ok () ->
-                let text = Buffer.contents out in
-                if String.length text <> bytes then
-                  Error
-                    (Printf.sprintf "%s: torn fetch (%d of %d bytes)" peer
-                       (String.length text) bytes)
-                else if crc_hex text <> crc then
-                  Error (peer ^ ": whole-file checksum mismatch")
-                else (
-                  match Scrub.verify_string ?limits text with
-                  | Error f ->
-                    Error (peer ^ ": fetched bytes invalid: " ^ Xmldoc.Fault.to_string f)
-                  | Ok _ -> Ok text)
-            end))
+  exchange ~timeout peer ("FETCH " ^ name) (fun next ->
+      match Result.bind (next ()) parse_fetch_header with
+      | Error e -> Error e
+      | Ok (fetched_name, bytes, chunks, crc) ->
+        if fetched_name <> name then
+          Error (Printf.sprintf "peer answered for %S" fetched_name)
+        else begin
+          let out = Buffer.create bytes in
+          let rec pull i =
+            if i >= chunks then
+              match next () with
+              | Ok "end fetch" -> Ok ()
+              | Ok line -> Error (Printf.sprintf "expected end fetch, got %S" line)
+              | Error e -> Error e
+            else
+              match Result.bind (next ()) (parse_chunk ~index:i) with
+              | Error e -> Error e
+              | Ok raw ->
+                Buffer.add_string out raw;
+                pull (i + 1)
+          in
+          match pull 0 with
+          | Error e -> Error e
+          | Ok () ->
+            let text = Buffer.contents out in
+            if String.length text <> bytes then
+              Error
+                (Printf.sprintf "torn fetch (%d of %d bytes)" (String.length text)
+                   bytes)
+            else if crc_hex text <> crc then Error "whole-file checksum mismatch"
+            else (
+              match Scrub.verify_string ?limits text with
+              | Error f -> Error ("fetched bytes invalid: " ^ Xmldoc.Fault.to_string f)
+              | Ok _ -> Ok text)
+        end)
 
 (* ------------------------------------------------------------------ *)
 (* ENOSPC preflight + install                                          *)
@@ -395,7 +281,7 @@ let preflight ?free ?(min_free = 0) dir ~bytes =
       | exception Unix.Unix_error (e, _, _) -> Error (`Io (Unix.error_message e))
       | fd ->
         Fun.protect
-          ~finally:(fun () -> close_quietly fd)
+          ~finally:(fun () -> Transport.close_quietly fd)
           (fun () ->
             let rec fill remaining =
               if remaining <= 0 then Ok ()

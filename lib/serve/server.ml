@@ -1083,7 +1083,6 @@ let serve_socket ?(backlog = 64) t ~path =
      PING/HEALTH/STAT on one connection therefore never queue behind a
      long QUERY on another; admission control still sheds connections
      beyond [max_inflight] instead of letting them pile up. *)
-  let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> () in
   (* Registry of live connection fds: drain shuts their receive sides
      down so threads blocked in [input_line] see EOF and exit, while
      responses still in flight go out on the untouched send sides. *)
@@ -1100,7 +1099,7 @@ let serve_socket ?(backlog = 64) t ~path =
       ~finally:(fun () ->
         Admission.release admission;
         unregister fd;
-        close_quietly fd)
+        Transport.close_quietly fd)
       (fun () ->
         let ic = Unix.in_channel_of_descr fd in
         let oc = Unix.out_channel_of_descr fd in
@@ -1183,7 +1182,7 @@ let serve_socket ?(backlog = 64) t ~path =
                  ^ "\n");
                flush oc
              with Sys_error _ -> ());
-            close_quietly fd;
+            Transport.close_quietly fd;
             bump (fun s -> s.errors <- s.errors + 1) t
           end);
         accept_loop ()
@@ -1192,7 +1191,7 @@ let serve_socket ?(backlog = 64) t ~path =
   (* ---------------- graceful drain ---------------- *)
   (* 1. Stop accepting: close and unlink the listening socket so new
      connects fail fast (clients fail over to the next server). *)
-  close_quietly sock;
+  Transport.close_quietly sock;
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   log_event t "event=draining inflight=%d deadline=%.1fs"
     (Admission.in_flight admission) t.config.drain_deadline;

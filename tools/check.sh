@@ -6,7 +6,8 @@
 #   tools/check.sh --quick         # skip the slow chaos tests
 #                                  # (ALCOTEST_QUICK_TESTS)
 #   tools/check.sh --stage NAME    # run one stage only (repeatable);
-#                                  # names: build, test, verify, chaos,
+#                                  # names: build, test, verify, client,
+#                                  # chaos,
 #                                  # pool-chaos, coordinator-chaos,
 #                                  # overload-chaos, scrub-chaos,
 #                                  # ingest-chaos, write-chaos,
@@ -108,6 +109,57 @@ stage_verify() {
     { echo "verify: rotten delta not named on stderr" >&2; exit 1; }
   grep -q "^verify: 2 of 3 file(s) corrupt$" "$_dir/verify.err" ||
     { echo "verify: closing line must count files, not faults" >&2; exit 1; }
+  rm -rf "$_dir"
+}
+
+# The client CLI against a real `serve --socket`: FETCH is refused
+# locally without desynchronizing the connection (the PINGs after it
+# still answer pong), and a 4 MB request to a SIGSTOPped server gives
+# up at its deadline (exit 4) instead of blocking once the socket
+# buffer is full.  The stopped server then resumes and drains to exit 0.
+stage_client() {
+  dune build bin/treesketch.exe
+  _ts=_build/default/bin/treesketch.exe
+  _dir=$(mktemp -d)
+  _sock="$_dir/serve.sock"
+  "$_ts" datagen -d xmark --scale 0.05 -o "$_dir/doc.xml"
+  "$_ts" build "$_dir/doc.xml" --budget 2KB -o "$_dir/site.ts" >/dev/null
+  "$_ts" serve --catalog "$_dir" --socket "$_sock" >"$_dir/serve.log" 2>&1 &
+  _srv=$!
+  _fail() {
+    echo "client: $1" >&2
+    kill -CONT "$_srv" 2>/dev/null || true
+    kill -KILL "$_srv" 2>/dev/null || true
+    exit 1
+  }
+  _i=0
+  while [ ! -S "$_sock" ]; do
+    _i=$((_i + 1))
+    [ "$_i" -le 100 ] || _fail "server never listened"
+    sleep 0.1
+  done
+  printf 'FETCH site\nPING\nPING\n' | "$_ts" client --socket "$_sock" \
+    >"$_dir/fetch.out" || _fail "client exited non-zero"
+  cat "$_dir/fetch.out"
+  head -n 1 "$_dir/fetch.out" | grep -q '^error bad-request FETCH ' ||
+    _fail "FETCH was not refused"
+  [ "$(tail -n +2 "$_dir/fetch.out" | tr '\n' ' ')" = "pong pong " ] ||
+    _fail "the PINGs after FETCH did not answer pong"
+  kill -STOP "$_srv"
+  _rc=0
+  {
+    printf 'INGEST site <a>'
+    head -c 4000000 /dev/zero | tr '\000' x
+    printf '</a>\n'
+  } | timeout 20 "$_ts" client --socket "$_sock" --timeout 0.5 --attempts 1 \
+    2>"$_dir/ingest.err" || _rc=$?
+  cat "$_dir/ingest.err"
+  [ "$_rc" -eq 4 ] || _fail "4 MB send to a stopped server exited $_rc, want 4"
+  kill -CONT "$_srv"
+  kill -TERM "$_srv"
+  _rc=0
+  wait "$_srv" || _rc=$?
+  [ "$_rc" -eq 0 ] || { echo "client: serve exited $_rc, want 0" >&2; exit 1; }
   rm -rf "$_dir"
 }
 
@@ -225,6 +277,7 @@ stage_build_bench() {
 stage build              stage_build
 stage test               stage_test
 stage verify             stage_verify
+stage client             stage_client
 stage chaos              stage_chaos
 stage pool-chaos         stage_pool_chaos
 stage coordinator-chaos  stage_coordinator_chaos
