@@ -6,7 +6,8 @@
    set distance and per-variable label matching).  TREESKETCH answers
    come from EVAL_QUERY followed by expansion; twig-XSKETCH answers are
    sampled from the edge histograms.  An empty approximate answer is
-   scored against the root-only document. *)
+   scored against the root-only document.  [degraded] counts the
+   TreeSketch answers whose embedding search the work cap cut short. *)
 
 let esd_of_answer ~true_stable approx_stable =
   Metric.Esd.between_synopses true_stable approx_stable
@@ -36,10 +37,12 @@ let run cfg =
       let rows =
         List.map2
           (fun (budget, ts) (_, xs) ->
+            let answers =
+              List.map (fun (q, true_stable) -> (Sketch.Eval.eval ts q, true_stable)) truths
+            in
             let ts_esd =
               List.map
-                (fun (q, true_stable) ->
-                  let ans = Sketch.Eval.eval ts q in
+                (fun (ans, true_stable) ->
                   let approx =
                     if ans.Sketch.Eval.empty then root_only
                     else
@@ -48,7 +51,7 @@ let run cfg =
                       | None -> ans.Sketch.Eval.synopsis
                   in
                   esd_of_answer ~true_stable approx)
-                truths
+                answers
             in
             let xs_esd =
               List.mapi
@@ -65,14 +68,15 @@ let run cfg =
               Printf.sprintf "%d" (budget / 1024);
               Printf.sprintf "%.0f" (Report.avg ts_esd);
               Printf.sprintf "%.0f" (Report.avg xs_esd);
+              Printf.sprintf "%d" (Report.degraded (List.map fst answers));
             ])
           (Data.treesketches cfg p) (Data.xsketches cfg p)
       in
       print_newline ();
       Printf.printf "  %s (%d scoreable queries)\n" p.label (List.length truths);
       Report.table
-        ~columns:[ "  KB"; "TreeSketch ESD"; "twig-XSketch ESD" ]
-        ~widths:[ 6; 16; 18 ]
+        ~columns:[ "  KB"; "TreeSketch ESD"; "twig-XSketch ESD"; "degraded" ]
+        ~widths:[ 6; 16; 18; 10 ]
         rows)
     (Data.tx cfg);
   Report.note

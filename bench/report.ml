@@ -29,3 +29,7 @@ let timed f =
 let avg = function
   | [] -> 0.
   | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
+
+(* answers an embedding search cut short ({!Sketch.Eval.answer.degraded}) *)
+let degraded answers =
+  List.length (List.filter (fun (a : Sketch.Eval.answer) -> a.degraded) answers)

@@ -283,6 +283,8 @@ let query_cmd =
   let run synopsis query exact show_answer =
     let ts = read_synopsis synopsis in
     let answer = Sketch.Eval.eval ts query in
+    (* no request budget here: only the per-search work cap can cut *)
+    if answer.degraded then prerr_endline "degraded: work";
     let estimate = Sketch.Selectivity.of_answer query answer in
     if answer.empty then print_endline "answer: (empty)"
     else begin

@@ -16,18 +16,36 @@ type answer = {
   var : int array;
   empty : bool;
   degraded : bool;
+  cuts : int;
 }
 
 (* Enumeration work budget: synopsis graphs with many same-label nodes
-   can harbor combinatorially many embeddings; the DFS stops expanding
-   once a path-evaluation has spent this many edge visits (results are
-   then slight undercounts — preferable to non-termination). *)
+   can harbor combinatorially many embeddings; one search (a parent
+   binding's embeddings along one query edge) stops expanding once it
+   has spent this many edge visits.  A suffix or predicate another
+   search already memoized costs nothing, so the cap binds only where a
+   search enumerates that much itself; when it does, the answer says so
+   ([cuts], [degraded]). *)
 let embedding_work_budget = 200_000
+
+(* A query path compiled for one evaluation: each step carries the id
+   of the suffix that starts at it and of its predicate list, so the
+   memo tables below are keyed by ints, never by a path. *)
+type step = {
+  id : int;
+  axis : Syntax.axis;
+  label : Xmldoc.Label.t;
+  preds : preds;
+}
+
+and preds = {
+  pid : int;
+  paths : step list list;
+}
 
 type ctx = {
   ts : Synopsis.t;
   max_hops : int;
-  work : int ref;
   budget : Xmldoc.Budget.t;
       (* cooperative cancellation: per-request deadline / node / work
          caps from the serving layer, tick-checked in the DFS *)
@@ -35,6 +53,20 @@ type ctx = {
      reachable through at least one edge — prunes fruitless DFS
      branches of //-steps *)
   reach : (int, Bytes.t) Hashtbl.t;
+  mutable work : int;  (* edge visits left to the current search *)
+  mutable refused : int;  (* expansions the work cap refused, in total *)
+  mutable cuts : int;  (* searches the work cap cut short *)
+  (* structural ids of the query's suffixes and predicate lists *)
+  suffix_ids : (Syntax.path, step list) Hashtbl.t;
+  pred_ids : (Syntax.path list, preds) Hashtbl.t;
+  (* (suffix id, node) -> the suffix's embeddings from the node, summed
+     per end node in the order the DFS first met them — the order a
+     per-path enumeration emits them in, so the tables built from a
+     memoized suffix iterate, and answers number their nodes, as that
+     enumeration would *)
+  suffixes : (int * int, (int * float) array) Hashtbl.t;
+  (* (predicate-list id, node) -> selectivity of the list at the node *)
+  selectivities : (int * int, float) Hashtbl.t;
 }
 
 (* Default hop bound: enough for the synopsis's acyclic height (so
@@ -44,11 +76,53 @@ let default_max_hops ts =
   let h = Array.fold_left max 0 (Synopsis.heights ts) in
   min 64 (max 20 (h + 1))
 
-let make_ctx ?budget ts max_hops =
+let make_ctx ?max_hops ?budget ts =
+  let max_hops =
+    match max_hops with Some h -> h | None -> default_max_hops ts
+  in
   let budget =
     match budget with Some b -> b | None -> Xmldoc.Budget.unlimited ()
   in
-  { ts; max_hops; work = ref embedding_work_budget; budget; reach = Hashtbl.create 8 }
+  {
+    ts;
+    max_hops;
+    budget;
+    reach = Hashtbl.create 8;
+    work = embedding_work_budget;
+    refused = 0;
+    cuts = 0;
+    suffix_ids = Hashtbl.create 16;
+    pred_ids = Hashtbl.create 8;
+    suffixes = Hashtbl.create 64;
+    selectivities = Hashtbl.create 64;
+  }
+
+(* [p] with its memo ids; structurally equal suffixes and predicate
+   lists share one id across the whole query. *)
+let rec compile ctx (p : Syntax.path) =
+  match p with
+  | [] -> []
+  | s :: rest -> (
+    match Hashtbl.find_opt ctx.suffix_ids p with
+    | Some c -> c
+    | None ->
+      let rest = compile ctx rest in
+      let preds = compile_preds ctx s.preds in
+      let c =
+        { id = Hashtbl.length ctx.suffix_ids; axis = s.axis; label = s.label; preds }
+        :: rest
+      in
+      Hashtbl.add ctx.suffix_ids p c;
+      c)
+
+and compile_preds ctx ps =
+  match Hashtbl.find_opt ctx.pred_ids ps with
+  | Some c -> c
+  | None ->
+    let paths = List.map (compile ctx) ps in
+    let c = { pid = Hashtbl.length ctx.pred_ids; paths } in
+    Hashtbl.add ctx.pred_ids ps c;
+    c
 
 let reachable ctx label =
   let key = Xmldoc.Label.to_int label in
@@ -79,18 +153,49 @@ let reachable ctx label =
     Hashtbl.add ctx.reach key b;
     b
 
-(* All embeddings of [p] starting at [u], as (end node, count) pairs,
-   one entry per embedding (not yet aggregated).  [emit] receives each
-   embedding's end node and count. *)
-let rec iter_embeddings ctx u (p : Syntax.path) emit =
+(* Embeddings summed per end node; [ends] lists the end nodes in the
+   order they were first met. *)
+let sum_by_end iter =
+  let by_end : (int, float ref) Hashtbl.t = Hashtbl.create 8 in
+  let ends = ref [] in
+  iter (fun e k ->
+      match Hashtbl.find_opt by_end e with
+      | Some cell -> cell := !cell +. k
+      | None ->
+        Hashtbl.add by_end e (ref k);
+        ends := e :: !ends);
+  (by_end, !ends)
+
+(* The memoized value of [compute ()] under [key].  A value is stored
+   only if nothing was cut while it was computed — neither by the
+   search's work cap nor by the request budget — so one parent's cut
+   never leaks into another parent's result. *)
+let remember ctx tbl key compute =
+  match Hashtbl.find_opt tbl key with
+  | Some x -> x
+  | None ->
+    let refused = ctx.refused in
+    let x = compute () in
+    if ctx.refused = refused && Xmldoc.Budget.alive ctx.budget then
+      Hashtbl.add tbl key x;
+    x
+
+(* All embeddings of [p] starting at [u], as (end node, count) pairs.
+   The first step is enumerated here; what follows each of its matches
+   depends on the match alone — the rest of the path and the step's
+   predicates — and is read from the per-node memos (EVAL_EMBED,
+   §4.3, evaluated once per synopsis node and sub-path). *)
+let rec iter_embeddings ctx u (p : step list) emit =
   match p with
   | [] -> emit u 1.
   | step :: rest ->
     let continue_from v k_here =
-      let s = pred_selectivity ctx v step.Syntax.preds in
-      let k = k_here *. s in
+      let k = k_here *. pred_selectivity ctx v step.preds in
       if k > prune_below then
-        iter_embeddings ctx v rest (fun e ke -> emit e (k *. ke))
+        match rest with
+        | [] -> emit v k
+        | next :: _ ->
+          Array.iter (fun (e, ke) -> emit e (k *. ke)) (suffix_embeddings ctx v next.id rest)
     in
     (match step.axis with
     | Child ->
@@ -108,73 +213,80 @@ let rec iter_embeddings ctx u (p : Syntax.path) emit =
       let reach = reachable ctx step.label in
       let visits : (int, int) Hashtbl.t = Hashtbl.create 8 in
       let rec dfs w acc hops =
-        if
-          hops > 0 && acc > prune_below && !(ctx.work) > 0
-          && Xmldoc.Budget.alive ctx.budget
-        then
-          Array.iter
-            (fun (v, k) ->
-              decr ctx.work;
-              if Xmldoc.Budget.tick ctx.budget then
-              let is_match =
-                Xmldoc.Label.equal (Synopsis.label ctx.ts v) step.label
-              in
-              let can_reach = Bytes.get reach v = '\001' in
-              if is_match || can_reach then begin
-                let seen = Option.value ~default:0 (Hashtbl.find_opt visits v) in
-                if seen < cycle_unroll && !(ctx.work) > 0 then begin
-                  let acc' = acc *. k in
-                  if is_match then continue_from v acc';
-                  if can_reach then begin
-                    Hashtbl.replace visits v (seen + 1);
-                    dfs v acc' (hops - 1);
-                    Hashtbl.replace visits v seen
-                  end
-                end
-              end)
-            (Synopsis.edges ctx.ts w)
+        if hops > 0 && acc > prune_below && Xmldoc.Budget.alive ctx.budget then
+          if ctx.work <= 0 then ctx.refused <- ctx.refused + 1
+          else
+            Array.iter
+              (fun (v, k) ->
+                ctx.work <- ctx.work - 1;
+                if Xmldoc.Budget.tick ctx.budget then
+                let is_match =
+                  Xmldoc.Label.equal (Synopsis.label ctx.ts v) step.label
+                in
+                let can_reach = Bytes.get reach v = '\001' in
+                if is_match || can_reach then begin
+                  let seen = Option.value ~default:0 (Hashtbl.find_opt visits v) in
+                  if seen < cycle_unroll then
+                    if ctx.work <= 0 then ctx.refused <- ctx.refused + 1
+                    else begin
+                      let acc' = acc *. k in
+                      if is_match then continue_from v acc';
+                      if can_reach then begin
+                        Hashtbl.replace visits v (seen + 1);
+                        dfs v acc' (hops - 1);
+                        Hashtbl.replace visits v seen
+                      end
+                    end
+                end)
+              (Synopsis.edges ctx.ts w)
       in
       dfs u 1. ctx.max_hops)
+
+(* The embeddings of the non-empty suffix [rest] (id [id]) from [v],
+   summed per end node in first-met order; memoized. *)
+and suffix_embeddings ctx v id rest =
+  remember ctx ctx.suffixes (id, v) (fun () ->
+      let by_end, ends = sum_by_end (iter_embeddings ctx v rest) in
+      Array.of_list (List.rev_map (fun e -> (e, !(Hashtbl.find by_end e))) ends))
 
 (* Selectivity of the branching predicates anchored at node [v]
    (EVAL_EMBED lines 2-13): per predicate, aggregate descendant counts
    by end node, then apply inclusion-exclusion (computed as
    1 - prod (1 - k_j)) unless some count reaches 1. *)
 and pred_selectivity ctx v preds =
-  List.fold_left
-    (fun acc pred ->
-      if acc <= prune_below then acc
-      else begin
-        let by_end : (int, float ref) Hashtbl.t = Hashtbl.create 8 in
-        iter_embeddings ctx v pred (fun e k ->
-            match Hashtbl.find_opt by_end e with
-            | Some cell -> cell := !cell +. k
-            | None -> Hashtbl.add by_end e (ref k));
-        let saturated = ref false in
-        let misses = ref 1. in
-        Hashtbl.iter
-          (fun _ k ->
-            if !k >= 1. then saturated := true
-            else misses := !misses *. (1. -. !k))
-          by_end;
-        let s = if !saturated then 1. else 1. -. !misses in
-        acc *. s
-      end)
-    1. preds
+  if preds.paths = [] then 1.
+  else
+    remember ctx ctx.selectivities (preds.pid, v) (fun () ->
+        List.fold_left
+          (fun acc pred ->
+            if acc <= prune_below then acc
+            else begin
+              let by_end, _ = sum_by_end (iter_embeddings ctx v pred) in
+              let saturated = ref false in
+              let misses = ref 1. in
+              Hashtbl.iter
+                (fun _ k ->
+                  if !k >= 1. then saturated := true
+                  else misses := !misses *. (1. -. !k))
+                by_end;
+              let s = if !saturated then 1. else 1. -. !misses in
+              acc *. s
+            end)
+          1. preds.paths)
 
-let embeddings_ctx ctx u p =
-  let by_end : (int, float ref) Hashtbl.t = Hashtbl.create 8 in
-  iter_embeddings ctx u p (fun e k ->
-      match Hashtbl.find_opt by_end e with
-      | Some cell -> cell := !cell +. k
-      | None -> Hashtbl.add by_end e (ref k));
+(* One search: the embeddings of [p] from [u], summed per end node,
+   under a fresh [embedding_work_budget]; a search the cap cut short is
+   counted in [ctx.cuts]. *)
+let search ctx u p =
+  ctx.work <- embedding_work_budget;
+  let refused = ctx.refused in
+  let by_end, _ = sum_by_end (iter_embeddings ctx u p) in
+  if ctx.refused > refused then ctx.cuts <- ctx.cuts + 1;
   Hashtbl.fold (fun e k acc -> (e, !k) :: acc) by_end []
 
 let embeddings ?max_hops ?budget ts u p =
-  let max_hops =
-    match max_hops with Some h -> h | None -> default_max_hops ts
-  in
-  embeddings_ctx (make_ctx ?budget ts max_hops) u p
+  let ctx = make_ctx ?max_hops ?budget ts in
+  search ctx u (compile ctx p)
 
 (* ------------------------------------------------------------------ *)
 (* EVAL_QUERY                                                          *)
@@ -212,9 +324,6 @@ let add_count b from into k =
   | None -> Hashtbl.add b.out (from, into) (ref k)
 
 let eval ?max_hops ?budget ts (q : Syntax.t) =
-  let max_hops =
-    match max_hops with Some h -> h | None -> default_max_hops ts
-  in
   let budget =
     match budget with Some b -> b | None -> Xmldoc.Budget.unlimited ()
   in
@@ -226,7 +335,9 @@ let eval ?max_hops ?budget ts (q : Syntax.t) =
       bind = Hashtbl.create 16;
     }
   in
-  let eval_ctx = make_ctx ~budget ts max_hops in
+  (* one context for the whole query: every parent binding and query
+     edge shares its memos *)
+  let ctx = make_ctx ?max_hops ~budget ts in
   let root_label = Twig.Eval.nesting_label 0 (Synopsis.label ts ts.Synopsis.root) in
   (* The root is charged against the node cap but materialized
      unconditionally: even a fully-degraded answer is a synopsis with a
@@ -241,6 +352,7 @@ let eval ?max_hops ?budget ts (q : Syntax.t) =
     List.iter
       (fun (edge : Syntax.edge) ->
         let qc = edge.target in
+        let path = compile ctx edge.path in
         let parents =
           match Hashtbl.find_opt b.bind qn.var with Some l -> !l | None -> []
         in
@@ -256,8 +368,7 @@ let eval ?max_hops ?budget ts (q : Syntax.t) =
                     | Some vq -> add_count b uq vq k
                     | None -> () (* node cap: drop — the answer degrades *)
                   end)
-                (let ctx = { eval_ctx with work = ref embedding_work_budget } in
-                 embeddings_ctx ctx u edge.path)
+                (search ctx u path)
             end)
           parents;
         process qc)
@@ -387,7 +498,8 @@ let eval ?max_hops ?budget ts (q : Syntax.t) =
     source = srcs;
     var = vars;
     empty = !empty;
-    degraded = Xmldoc.Budget.stopped budget <> None;
+    degraded = Xmldoc.Budget.stopped budget <> None || ctx.cuts > 0;
+    cuts = ctx.cuts;
   }
 
 let to_nesting_tree ?(max_nodes = 2_000_000) ans =

@@ -13,10 +13,19 @@
     predicates contribute selectivities combined with the
     inclusion–exclusion rule over per-target descendant counts.
 
+    What follows a step's match at synopsis node [v] — the step's
+    predicate selectivity and the summed embeddings of the rest of the
+    path — depends on [v] alone, so one evaluation computes each once
+    per (node, sub-path) and every parent binding and query edge reuses
+    it: a [//]-step is enumerated path by path, a whole path is not.
+
     Compressed TREESKETCHes may contain cycles (a merge of same-label
-    nodes at different depths); embedding enumeration is therefore
-    bounded by [max_hops] edges per descendant step and prunes
-    embeddings whose accumulated count falls below [1e-12]. *)
+    nodes at different depths); each descendant step is therefore
+    bounded by [max_hops] edges, visits a node at most three times per
+    path, and prunes embeddings whose accumulated count falls below
+    [1e-12].  One search (a parent binding's embeddings along one query
+    edge) may visit at most 200K edges; a search cut short by that cap
+    is counted in [cuts] and marks the answer [degraded]. *)
 
 type answer = {
   synopsis : Synopsis.t;
@@ -35,12 +44,29 @@ type answer = {
           approximate answer is the empty document *)
   degraded : bool;
       (** true iff the request {!Xmldoc.Budget.t} stopped (deadline,
-          node cap or work cap) before evaluation completed: the answer
+          node cap or work cap) before evaluation completed, or the
+          per-search work cap cut some search ([cuts > 0]): the answer
           is a valid but partial approximation — embeddings discovered
           after the stop are missing, so counts (and hence the
           selectivity estimate) are lower bounds of the undegraded
           estimate *)
+  cuts : int;
+      (** searches (one per parent binding and query edge) that the
+          per-search work cap cut short *)
 }
+
+val prune_below : float
+(** Embeddings whose accumulated count falls to this ([1e-12]) or below
+    are dropped. *)
+
+val cycle_unroll : int
+(** Times one synopsis node may appear on a single [//]-step path (3). *)
+
+val embedding_work_budget : int
+(** Edge visits one search may spend (200K). *)
+
+val default_max_hops : Synopsis.t -> int
+(** The [max_hops] {!eval} uses by default. *)
 
 val eval :
   ?max_hops:int -> ?budget:Xmldoc.Budget.t -> Synopsis.t -> Twig.Syntax.t -> answer
@@ -76,4 +102,5 @@ val embeddings :
     from [u] along an embedding of [p], the estimated number of
     descendants per element of [u] (embeddings ending at the same node
     are summed).  Branch predicates are folded in as selectivities.
-    Exposed for tests and for the selectivity estimator. *)
+    One search, under the same per-search work cap as {!eval}'s.
+    Exposed for tests. *)

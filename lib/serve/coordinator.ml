@@ -289,12 +289,10 @@ let scatter t ~hedged ~line =
       end
       else begin
         (* hedge: one extra flight at a time, budget permitting *)
-        if
-          now >= !hedge_at
-          && List.length !flights < 2
-          && !order <> []
-          && !attempts_left > 0
-        then begin
+        let hedge_possible () =
+          List.length !flights < 2 && !order <> [] && !attempts_left > 0
+        in
+        if now >= !hedge_at && hedge_possible () then begin
           if Replica.all_browned_out t.group then
             (* the whole group reports browned-out HEALTH: a hedge can
                only add load where every member already has too much —
@@ -306,7 +304,12 @@ let scatter t ~hedged ~line =
              from concurrent traffic, and a cooled group hedges again *)
           hedge_at := Unix.gettimeofday () +. t.config.hedge_after
         end;
-        let wake = Float.min overall !hedge_at in
+        (* wake for the hedge only when one could launch: a one-member
+           group or a spent order leaves [hedge_at] in the past, which
+           would spin [select] with a zero timeout until the deadline *)
+        let wake =
+          if hedge_possible () then Float.min overall !hedge_at else overall
+        in
         let timeout = Float.max 0.0 (Float.min (wake -. now) 0.25) in
         (match Unix.select (List.map (fun f -> f.fd) !flights) [] [] timeout with
         | exception Unix.Unix_error (EINTR, _, _) -> ()

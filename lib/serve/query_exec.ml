@@ -37,6 +37,18 @@ type outcome = {
 
 let yes_no b = if b then "yes" else "no"
 
+let any_degraded answers =
+  List.exists (fun (a : Sketch.Eval.answer) -> a.degraded) answers
+
+(* The response's [degraded=] token: why the request budget stopped, or
+   [work] when it did not but the per-search work cap of
+   {!Sketch.Eval} cut some level's answer short. *)
+let degraded_token budget answers =
+  match Xmldoc.Budget.stopped budget with
+  | None when any_degraded answers ->
+    Protocol.degraded_token (Some Xmldoc.Budget.Work_cap)
+  | stop -> Protocol.degraded_token stop
+
 (* Which ladder rung serves this request: the coarser of the request's
    own [-tier] ask and the server's degradation level, clamped to the
    rungs the entry actually has.  Plain single-tier entries never get a
@@ -100,14 +112,14 @@ let run ?tier ?levels ~budget kind synopsis q =
     {
       response =
         Printf.sprintf "ok query degraded=%s%s est=%g classes=%d empty=%s"
-          (Protocol.degraded_token (Xmldoc.Budget.stopped budget))
+          (degraded_token budget answers)
           tier_tag est
           (List.fold_left
              (fun acc (ans : Sketch.Eval.answer) ->
                acc + Sketch.Synopsis.num_nodes ans.synopsis)
              0 answers)
           (yes_no (List.for_all (fun (a : Sketch.Eval.answer) -> a.empty) answers));
-      degraded = List.exists (fun (a : Sketch.Eval.answer) -> a.degraded) answers;
+      degraded = any_degraded answers;
     }
   | Answer ->
     (* One budget spans evaluation and expansion: the request's caps
@@ -117,9 +129,9 @@ let run ?tier ?levels ~budget kind synopsis q =
       {
         response =
           Printf.sprintf "ok answer degraded=%s%s empty=yes"
-            (Protocol.degraded_token (Xmldoc.Budget.stopped budget))
+            (degraded_token budget answers)
             tier_tag;
-        degraded = List.exists (fun (a : Sketch.Eval.answer) -> a.degraded) answers;
+        degraded = any_degraded answers;
       }
     else begin
       let parts =
@@ -150,10 +162,13 @@ let run ?tier ?levels ~budget kind synopsis q =
       {
         response =
           Printf.sprintf "ok answer degraded=%s%s truncated=%s nodes=%d tree=%s"
-            (Protocol.degraded_token (Xmldoc.Budget.stopped budget))
+            (degraded_token budget answers)
             tier_tag (yes_no truncated) nodes
             (Protocol.one_line (Xmldoc.Printer.to_string tree));
-        degraded = Xmldoc.Budget.stopped budget <> None || truncated;
+        degraded =
+          Xmldoc.Budget.stopped budget <> None
+          || truncated
+          || any_degraded answers;
       }
     end
 

@@ -34,8 +34,10 @@ type kind =
 type outcome = {
   response : string;  (** the single response line *)
   degraded : bool;
-      (** the budget stopped (or the expansion truncated): the response
-          carries a partial answer — counted in server stats *)
+      (** the budget stopped, some level's evaluation was cut by the
+          per-search work cap (answered [degraded=work]), or the
+          expansion truncated: the response carries a partial answer —
+          counted in server stats *)
 }
 
 val select_tier :

@@ -29,9 +29,12 @@ let connect ~timeout path =
       close_quietly fd;
       Error msg
     in
+    (* EAGAIN is not "in progress": on AF_UNIX it means the listener's
+       backlog is full and nothing was queued — a failed dial, so the
+       caller treats it like any connect failure (nothing was sent) *)
     match Unix.connect fd (Unix.ADDR_UNIX path) with
     | () -> Ok fd
-    | exception Unix.Unix_error ((EINPROGRESS | EWOULDBLOCK | EAGAIN), _, _) -> (
+    | exception Unix.Unix_error (EINPROGRESS, _, _) -> (
       (* wait for the connect to resolve, but never past the timeout *)
       match Unix.select [] [ fd ] [] timeout with
       | [], [], [] -> fail "connect timed out"

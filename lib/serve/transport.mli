@@ -33,7 +33,10 @@ val connect : timeout:float -> string -> (Unix.file_descr, string) result
 (** [connect ~timeout path] dials the Unix socket at [path], passing
     the {!Xmldoc.Io_fault.Connect} tap first.  The connect is
     non-blocking and waits in [select] at most [timeout] seconds
-    (["connect timed out"]); any other failure is the errno's message.
+    (["connect timed out"]); any other failure is the errno's message,
+    among them a listener whose backlog is full ([EAGAIN]): nothing was
+    queued, so that dial fails rather than returning an unconnected
+    descriptor.
     The returned descriptor is close-on-exec and non-blocking. *)
 
 val send :

@@ -272,6 +272,263 @@ let prop_degraded_selectivity_lower_bound =
       let degraded = Selectivity.of_answer q (Eval.eval ~budget ts q) in
       degraded <= full +. 1e-9 *. Float.max 1. full)
 
+(* A dense cyclic synopsis: four mutually linked [x] nodes (average 1
+   per edge, so no path ever falls below the pruning threshold), each
+   with a rare [t] child.  [//t] has about 3^20 embedding paths, so its
+   one search exceeds the per-search work cap — and must say so. *)
+let dense_cycle =
+  let lbl = Xmldoc.Label.of_string in
+  let k = 4 in
+  let x i = 1 + i in
+  let node label edges = { Synopsis.label = lbl label; count = 1.; edges } in
+  Synopsis.make ~root:0
+    (Array.concat
+       [
+         [| node "r" (Array.init k (fun i -> (x i, 1.))) |];
+         Array.init k (fun i ->
+             node "x"
+               (Array.append
+                  (Array.of_list
+                     (List.filter_map
+                        (fun j -> if j = i then None else Some (x j, 1.))
+                        (List.init k Fun.id)))
+                  [| (1 + k, 1e-6) |]));
+         [| node "t" [||] |];
+       ])
+
+let test_work_cap_reported () =
+  let q = Twig.Parse.query "//t" in
+  let ans = Eval.eval dense_cycle q in
+  Alcotest.(check bool) "answer degraded" true ans.degraded;
+  Alcotest.(check int) "one search cut" 1 ans.cuts;
+  List.iter
+    (fun (kind, head) ->
+      let o =
+        Serve.Query_exec.run ~budget:(Xmldoc.Budget.unlimited ()) kind
+          dense_cycle q
+      in
+      if not (String.starts_with ~prefix:head o.response) then
+        Alcotest.failf "wanted %S, got %S" head o.response;
+      Alcotest.(check bool) (head ^ " counted degraded") true o.degraded)
+    [
+      (Serve.Query_exec.Query, "ok query degraded=work ");
+      (Serve.Query_exec.Answer, "ok answer degraded=work ");
+    ]
+
+(* ---------------- the per-node memo against a naive enumerator ---------------- *)
+
+(* EVAL_EMBED without memoization: the predicates and the rest of the
+   path are recomputed for every DFS path that reaches a node.
+   Same pruning, cycle and hop bounds and per-search work cap as
+   {!Eval}; [cut] records that the cap refused an expansion. *)
+module Naive = struct
+  type ctx = {
+    ts : Synopsis.t;
+    max_hops : int;
+    mutable work : int;
+    mutable cut : bool;
+  }
+
+  let reachable ts label =
+    let n = Synopsis.num_nodes ts in
+    let b = Array.make n false in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for v = 0 to n - 1 do
+        if
+          (not b.(v))
+          && Array.exists
+               (fun (w, _) ->
+                 Xmldoc.Label.equal (Synopsis.label ts w) label || b.(w))
+               (Synopsis.edges ts v)
+        then begin
+          b.(v) <- true;
+          changed := true
+        end
+      done
+    done;
+    b
+
+  let rec iter ctx u (p : Syntax.path) emit =
+    match p with
+    | [] -> emit u 1.
+    | step :: rest -> (
+      let continue_from v k_here =
+        let k = k_here *. selectivity ctx v step.Syntax.preds in
+        if k > Eval.prune_below then iter ctx v rest (fun e ke -> emit e (k *. ke))
+      in
+      let matches v = Xmldoc.Label.equal (Synopsis.label ctx.ts v) step.label in
+      match step.axis with
+      | Child ->
+        Array.iter (fun (v, k) -> if matches v then continue_from v k)
+          (Synopsis.edges ctx.ts u)
+      | Descendant ->
+        let reach = reachable ctx.ts step.label in
+        let visits = Hashtbl.create 8 in
+        let rec dfs w acc hops =
+          if hops > 0 && acc > Eval.prune_below then
+            if ctx.work <= 0 then ctx.cut <- true
+            else
+              Array.iter
+                (fun (v, k) ->
+                  ctx.work <- ctx.work - 1;
+                  if matches v || reach.(v) then begin
+                    let seen = Option.value ~default:0 (Hashtbl.find_opt visits v) in
+                    if seen < Eval.cycle_unroll then
+                      if ctx.work <= 0 then ctx.cut <- true
+                      else begin
+                        let acc' = acc *. k in
+                        if matches v then continue_from v acc';
+                        if reach.(v) then begin
+                          Hashtbl.replace visits v (seen + 1);
+                          dfs v acc' (hops - 1);
+                          Hashtbl.replace visits v seen
+                        end
+                      end
+                  end)
+                (Synopsis.edges ctx.ts w)
+        in
+        dfs u 1. ctx.max_hops)
+
+  and by_end ctx u p =
+    let tbl = Hashtbl.create 8 in
+    iter ctx u p (fun e k ->
+        Hashtbl.replace tbl e (k +. Option.value ~default:0. (Hashtbl.find_opt tbl e)));
+    tbl
+
+  and selectivity ctx v preds =
+    List.fold_left
+      (fun acc pred ->
+        if acc <= Eval.prune_below then acc
+        else
+          let ks = Hashtbl.fold (fun _ k l -> k :: l) (by_end ctx v pred) [] in
+          acc
+          *.
+          if List.exists (fun k -> k >= 1.) ks then 1.
+          else 1. -. List.fold_left (fun m k -> m *. (1. -. k)) 1. ks)
+      1. preds
+
+  (* one search from [u], as Eval runs one per parent and query edge *)
+  let embeddings ts u p =
+    let ctx =
+      {
+        ts;
+        max_hops = Eval.default_max_hops ts;
+        work = Eval.embedding_work_budget;
+        cut = false;
+      }
+    in
+    let tbl = by_end ctx u p in
+    if ctx.cut then None else Some tbl
+end
+
+let rel_close a b = Float.abs (a -. b) <= 1e-12 *. Float.max (Float.abs a) (Float.abs b)
+
+(* Trees and queries over three labels, so a step matches several
+   synopsis nodes whose suffixes and predicates differ; steps carry
+   branching predicates, so the predicate memo is exercised too. *)
+let memo_labels = [| "a"; "b"; "c" |]
+
+let gen_memo_tree =
+  QCheck.Gen.(int_range 20 150 >>= T.gen_tree_sized ~labels:memo_labels)
+
+let gen_memo_query =
+  let open QCheck.Gen in
+  let bare =
+    let* axis = oneofl [ Syntax.Child; Syntax.Descendant ] in
+    let* label = oneofa memo_labels in
+    return (Syntax.step axis label)
+  in
+  let step =
+    let* s = bare in
+    let* preds = list_size (int_range 0 1) (list_size (int_range 1 2) bare) in
+    return { s with Syntax.preds }
+  in
+  let path = list_size (int_range 1 3) step in
+  let* top = path in
+  let* subs =
+    list_size (int_range 0 2)
+      (let* p = path in
+       let* optional = bool in
+       return (Syntax.edge ~optional p (Syntax.node [])))
+  in
+  return (Syntax.query [ Syntax.edge top (Syntax.node subs) ])
+
+(* [ans.raw] with its edges recomputed by the naive enumerator: a raw
+   edge (uq -> vq) carries the embeddings of its query edge's path from
+   uq's synopsis node to vq's, for every vq the answer kept.  A case
+   whose enumeration was cut is discarded. *)
+let naive_raw ts q (ans : Eval.answer) =
+  let edges_of = Array.make (Syntax.num_vars q) [] in
+  List.iter
+    (fun (qn : Syntax.node) -> edges_of.(qn.var) <- qn.edges)
+    (Syntax.nodes_preorder q);
+  let node_of = Hashtbl.create 64 in
+  Array.iteri (fun i src -> Hashtbl.replace node_of (src, ans.var.(i)) i) ans.source;
+  let edges uq =
+    List.concat_map
+      (fun (e : Syntax.edge) ->
+        match Naive.embeddings ts ans.source.(uq) e.path with
+        | None -> QCheck.assume_fail ()
+        | Some by_end ->
+          Hashtbl.fold
+            (fun v k acc ->
+              match Hashtbl.find_opt node_of (v, e.target.var) with
+              | Some vq when k > Eval.prune_below -> (vq, k) :: acc
+              | _ -> acc)
+            by_end [])
+      edges_of.(ans.var.(uq))
+  in
+  Synopsis.make ~root:ans.raw.Synopsis.root
+    (Array.mapi
+       (fun uq (n : Synopsis.node) -> { n with edges = Array.of_list (edges uq) })
+       ans.raw.Synopsis.nodes)
+
+(* The memoized evaluation must find the same raw answer edges with the
+   same counts as the naive enumerator, and so the same estimate.
+   Synopses are compressed to 5-100% of the stable summary's size: the
+   small ones are cyclic, the large ones keep several nodes per label. *)
+let prop_memo_matches_naive =
+  T.qtest ~count:200 "memoized EVAL_EMBED = per-path enumeration"
+    (QCheck.triple
+       (QCheck.make ~print:(Format.asprintf "%a" Xmldoc.Tree.pp) gen_memo_tree)
+       (QCheck.make ~print:Syntax.to_string gen_memo_query)
+       QCheck.(5 -- 100))
+    (fun (t, q, percent) ->
+      let stable = Stable.build t in
+      let ts = Build.build stable ~budget:(Synopsis.size_bytes stable * percent / 100) in
+      let ans = Eval.eval ts q in
+      if ans.degraded then QCheck.assume_fail ();
+      let naive = naive_raw ts q ans in
+      let sorted s u = List.sort compare (Array.to_list (Synopsis.edges s u)) in
+      List.for_all
+        (fun uq ->
+          let memo = sorted ans.raw uq and per_path = sorted naive uq in
+          List.length memo = List.length per_path
+          && List.for_all2 (fun (v, k) (w, k') -> v = w && rel_close k k') memo per_path)
+        (List.init (Synopsis.num_nodes ans.raw) Fun.id)
+      && rel_close (Selectivity.of_answer q ans)
+           (Selectivity.of_answer q { ans with raw = naive }))
+
+(* The memo's regression gate: every §6.1 query over XMark-TX (seed 7,
+   scale 9.0, the perfbench fixture) built at 32 KB — where recursive
+   parlist/listitem fold into cycles — finishes undegraded within 100K
+   units of request work.  This counts work, not time. *)
+let test_xmark_within_work () =
+  let doc = Datagen.Datasets.generate ~seed:7 ~scale:9.0 Datagen.Datasets.Xmark in
+  let stable = Stable.build doc in
+  let ts = Build.build stable ~budget:(32 * 1024) in
+  let degraded =
+    List.filteri
+      (fun _ q ->
+        (Eval.eval ~budget:(Xmldoc.Budget.create ~max_work:100_000 ()) ts q).degraded)
+      (Workload.positive ~seed:8 ~n:200 stable)
+  in
+  if degraded <> [] then
+    Alcotest.failf "%d of 200 degraded under 100K work, e.g. %s" (List.length degraded)
+      (Syntax.to_string (List.hd degraded))
+
 (* partial expansion under the same budget machinery: node caps
    truncate, never raise, and the built prefix stays within the cap *)
 let test_partial_expansion_truncates () =
@@ -324,5 +581,12 @@ let () =
           Alcotest.test_case "partial expansion truncates" `Quick
             test_partial_expansion_truncates;
           prop_degraded_selectivity_lower_bound;
+          Alcotest.test_case "work cap cut is reported" `Quick test_work_cap_reported;
+        ] );
+      ( "memo",
+        [
+          prop_memo_matches_naive;
+          Alcotest.test_case "XMark-TX 32KB within 100K work" `Slow
+            test_xmark_within_work;
         ] );
     ]

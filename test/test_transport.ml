@@ -3,8 +3,9 @@
    deadline mid-line, both kinds of EOF), and end to end through the
    client and the coordinator against scripted servers: multi-MB
    ANSWER lines, EOF mapping, a send that must keep its deadline past
-   the socket buffer, and FETCH refused without desynchronizing the
-   connection. *)
+   the socket buffer, FETCH refused without desynchronizing the
+   connection, a full listen backlog failing the dial, and a coordinator
+   that sleeps, not spins, while its sole replica is slow. *)
 
 module Transport = Serve.Transport
 module Client = Serve.Client
@@ -197,6 +198,28 @@ let test_big_answer_client () =
       Client.close c;
       check_big "Client.request" elapsed response)
 
+(* A sole replica that answers after 1 s: no hedge can ever launch, so
+   the coordinator must sleep in [select] until the answer arrives
+   rather than poll with a zero timeout. *)
+let test_coordinator_waits_idle () =
+  let answer = "ok query degraded=no est=1 classes=1 empty=no" in
+  with_scripted_server
+    (fun fd _ ->
+      Thread.delay 1.0;
+      write_all fd (answer ^ "\n"))
+    (fun path ->
+      let coord = Coordinator.create ~log:ignore [ path ] in
+      let cpu () =
+        let t = Unix.times () in
+        t.Unix.tms_utime +. t.Unix.tms_stime
+      in
+      let before = cpu () in
+      let response, _ = Coordinator.handle_line coord "QUERY db //a" in
+      let spent = cpu () -. before in
+      Alcotest.(check string) "the slow answer wins" answer response;
+      if spent > 0.2 then
+        Alcotest.failf "waiting 1 s for one replica cost %.2fs of CPU" spent)
+
 let test_big_answer_coordinator () =
   with_scripted_server respond_big (fun path ->
       let coord = Coordinator.create ~log:ignore [ path ] in
@@ -256,6 +279,43 @@ let test_send_deadline () =
         Fun.protect ~finally:(fun () -> Unix.close sock) reap)
 
 (* ------------------------------------------------------------------ *)
+(* A full backlog is a failed dial                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A [listen 1] socket that never accepts queues two connects; a third
+   finds the backlog full (EAGAIN).  Nothing was queued, so the dial
+   must fail there — not hand back an unconnected descriptor whose
+   first send fails with "Transport endpoint is not connected". *)
+let test_full_backlog () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "full.sock" in
+      let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.bind sock (Unix.ADDR_UNIX path);
+      Unix.listen sock 1;
+      let dials = List.init 4 (fun _ -> Transport.connect ~timeout:0.2 path) in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (Result.iter Transport.close_quietly) dials;
+          Unix.close sock)
+        (fun () ->
+          Alcotest.(check bool) "the first dial is queued" true
+            (Result.is_ok (List.hd dials));
+          List.iteri
+            (fun i d ->
+              if i >= 2 && Result.is_ok d then
+                Alcotest.failf "dial %d past the backlog returned Ok" (i + 1))
+            dials;
+          let c = Client.create ~config:one_attempt [ path ] in
+          Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+              match Client.request c "PING" with
+              | Error (Client.Io msg) when String.starts_with ~prefix:"connect: " msg
+                -> ()
+              | Error e ->
+                Alcotest.failf "wanted a connect failure, got %s"
+                  (Client.error_to_string e)
+              | Ok r -> Alcotest.failf "a full backlog answered %S" r)))
+
+(* ------------------------------------------------------------------ *)
 (* FETCH never desynchronizes a client connection                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -310,7 +370,13 @@ let () =
           Alcotest.test_case "send keeps its deadline" `Quick test_send_deadline;
           Alcotest.test_case "FETCH refused, connection in sync" `Quick
             test_fetch_refused;
+          Alcotest.test_case "full backlog is a connect failure" `Quick
+            test_full_backlog;
         ] );
       ( "coordinator",
-        [ Alcotest.test_case "4 MiB answer" `Quick test_big_answer_coordinator ] );
+        [
+          Alcotest.test_case "4 MiB answer" `Quick test_big_answer_coordinator;
+          Alcotest.test_case "slow sole replica costs no CPU" `Quick
+            test_coordinator_waits_idle;
+        ] );
     ]
