@@ -369,8 +369,9 @@ let serve_cmd =
       & opt float Serve.Server.default_config.drain_deadline
       & info [ "drain-deadline" ] ~docv:"SECONDS"
           ~doc:
-            "On SIGTERM/SIGINT, seconds to wait for in-flight requests \
-             to finish before severing them and exiting.")
+            "With $(b,--socket): on SIGTERM/SIGINT, seconds to wait for \
+             in-flight requests to finish before severing them and \
+             exiting.")
   in
   let workers =
     Arg.(
@@ -440,7 +441,8 @@ let serve_cmd =
       & opt float Serve.Server.default_config.scrub_interval
       & info [ "scrub-interval" ] ~docv:"SECONDS"
           ~doc:
-            "Background integrity scrubbing: every $(docv) seconds a \
+            "With $(b,--socket): background integrity scrubbing: every \
+             $(docv) seconds a \
              supervised worker re-reads and re-verifies every snapshot \
              on disk; in-place corruption is quarantined \
              ($(b,reason=scrub-corrupt)) while the resident copy keeps \
@@ -593,7 +595,9 @@ let serve_cmd =
           queryable delta levels; a crash replays the log, so every \
           acknowledged record survives.  SIGTERM or SIGINT drains \
           gracefully: in-flight requests are answered, build workers \
-          reaped, and the process exits 0.")
+          reaped, and the process exits 0.  Over stdin/stdout the drain \
+          takes effect at the next request line, which is still \
+          answered, or at EOF.")
     Term.(
       const run $ catalog $ socket $ deadline $ max_answer_nodes $ max_inflight
       $ no_auto_reload $ drain_deadline $ workers $ watchdog_grace
@@ -683,8 +687,8 @@ let coordinate_cmd =
       & opt float Serve.Coordinator.default_config.probe_interval
       & info [ "probe-interval" ] ~docv:"SECONDS"
           ~doc:
-            "How often the background prober HEALTHs every replica to \
-             feed ejection and re-admission.")
+            "With $(b,--socket): how often the background prober HEALTHs \
+             every replica to feed ejection and re-admission.")
   in
   let max_inflight =
     Arg.(
@@ -701,8 +705,8 @@ let coordinate_cmd =
       & opt float Serve.Coordinator.default_config.drain_deadline
       & info [ "drain-deadline" ] ~docv:"SECONDS"
           ~doc:
-            "On SIGTERM/SIGINT, seconds to wait for in-flight scatters \
-             before severing them and exiting.")
+            "With $(b,--socket): on SIGTERM/SIGINT, seconds to wait for \
+             in-flight scatters before severing them and exiting.")
   in
   let eject_threshold =
     Arg.(
@@ -773,7 +777,9 @@ let coordinate_cmd =
              (List.filter (( <> ) "QUIT") Serve.Protocol.single_target_verbs)
          ^ ") are refused — address one replica directly with \
             $(b,treesketch client --target).  SIGTERM or SIGINT drains \
-            gracefully and exits 0."))
+            gracefully and exits 0; over stdin/stdout the drain takes \
+            effect at the next request line, which is still answered, or \
+            at EOF."))
     Term.(
       const run $ replicas $ socket $ hedge_after $ timeout
       $ connect_timeout $ attempts $ retry_ratio $ retry_burst

@@ -179,8 +179,7 @@ let backoff t attempt =
 (* The server answering [error overloaded ...] is a transient shed, not
    an answer to the question asked: worth retrying elsewhere for
    idempotent requests. *)
-let is_overloaded_response line =
-  String.length line >= 16 && String.sub line 0 16 = "error overloaded"
+let is_overloaded_response line = Protocol.error_class line = Some "overloaded"
 
 (* The server answering [error ingest-deferred ...] shed a MUTATION —
    and, by the protocol's contract, retained nothing of it.  That is
@@ -189,34 +188,21 @@ let is_overloaded_response line =
 let mutation_verbs = [ "INGEST"; "DELETE"; "UPDATE" ]
 
 let is_deferred_response line =
-  String.length line >= 21 && String.sub line 0 21 = "error ingest-deferred"
+  Protocol.error_class line = Some "ingest-deferred"
 
 (* The [retry-after=<ms>] token of an [error ingest-deferred] line —
    how long the server asks this client to back off before resending.
    [None] when absent or malformed (older servers). *)
 let retry_after_ms line =
-  List.fold_left
-    (fun acc word ->
-      if String.length word > 12 && String.sub word 0 12 = "retry-after=" then
-        match
-          int_of_string_opt (String.sub word 12 (String.length word - 12))
-        with
-        | Some ms when ms >= 0 -> Some ms
-        | _ -> acc
-      else acc)
-    None
-    (String.split_on_char ' ' line)
+  match Option.bind (Protocol.field "retry-after" line) int_of_string_opt with
+  | Some ms when ms >= 0 -> Some ms
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Per-synopsis circuit breaker                                        *)
 (* ------------------------------------------------------------------ *)
 
 let breaker_enabled t = t.config.breaker_threshold > 0
-
-let response_class line =
-  match String.split_on_char ' ' line with
-  | "error" :: cls :: _ -> Some cls
-  | _ -> None
 
 (* What counts against the breaker: the server reporting a worker
    crash for this synopsis, or the request timing out client-side (a
@@ -227,7 +213,7 @@ let response_class line =
 let breaker_failure = function
   | Error (Deadline _) -> true
   | Error (Io _ | Bad_response _ | Breaker_open _) -> false
-  | Ok line -> response_class line = Some "worker-crash"
+  | Ok line -> Protocol.error_class line = Some "worker-crash"
 
 (* The endpoint the next connect will try first: the live connection's
    target when one exists, otherwise wherever the failover cursor
@@ -348,8 +334,13 @@ let request_unchecked t line =
     | Ok c -> (
       let deadline = Unix.gettimeofday () +. t.config.request_timeout in
       match
-        Result.bind (Transport.send c.fd (payload ()) ~deadline) (fun () ->
-            Transport.read_line c.reader ~deadline)
+        match Transport.send c.fd (payload ()) ~deadline with
+        | Ok () -> Transport.read_line c.reader ~deadline
+        | Error err ->
+          (* a server shedding at accept writes its reason and closes,
+             usually before this write lands: the reason is the answer *)
+          Result.value (Transport.read_step c.reader) ~default:None
+          |> Option.to_result ~none:err
       with
       | Error err -> fail err
       | Ok response ->

@@ -69,7 +69,7 @@ type t = {
   log : string -> unit;
   stats : stats;
   stats_lock : Mutex.t;
-  mutable draining : bool;
+  drain : Transport.drain;
 }
 
 let create ?(log = prerr_endline) ?(config = default_config) paths =
@@ -95,7 +95,7 @@ let create ?(log = prerr_endline) ?(config = default_config) paths =
         failures = 0;
       };
     stats_lock = Mutex.create ();
-    draining = false;
+    drain = Transport.drain_switch ~log;
   }
 
 let stats t = t.stats
@@ -104,38 +104,25 @@ let group t = t.group
 
 let budget t = t.budget
 
-let draining t = t.draining
+let draining t = Transport.draining t.drain
 
 let bump f t = Mutex.protect t.stats_lock (fun () -> f t.stats)
 
 let log_event t fmt = Printf.ksprintf t.log fmt
 
-let request_drain t =
-  if not t.draining then begin
-    t.draining <- true;
-    log_event t "event=drain-requested"
-  end
+let request_drain t = Transport.request_drain t.drain
 
-let install_drain_signals t =
-  let handle = Sys.Signal_handle (fun _ -> request_drain t) in
-  (try Sys.set_signal Sys.sigterm handle
-   with Invalid_argument _ | Sys_error _ -> ());
-  try Sys.set_signal Sys.sigint handle
-  with Invalid_argument _ | Sys_error _ -> ()
+let install_drain_signals t = Transport.install_drain_signals t.drain
 
 (* ------------------------------------------------------------------ *)
 (* The scatter                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 (* a response any server in this repository can legally utter *)
 let well_formed_response line =
   line = "pong" || line = "bye"
-  || starts_with "ok " line
-  || starts_with "error " line
+  || String.starts_with ~prefix:"ok " line
+  || String.starts_with ~prefix:"error " line
 
 (* Server errors worth racing a DIFFERENT replica for: a crashed
    worker or a shedding server says nothing about the query, only
@@ -143,8 +130,8 @@ let well_formed_response line =
    bad-request, deadline...) win immediately — a second opinion would
    return the same verdict, or worse, a different one. *)
 let retryable_response line =
-  match String.split_on_char ' ' line with
-  | "error" :: cls :: _ -> cls = "worker-crash" || cls = "overloaded"
+  match Protocol.error_class line with
+  | Some ("worker-crash" | "overloaded") -> true
   | _ -> false
 
 type flight = {
@@ -330,14 +317,12 @@ let scatter t ~hedged ~line =
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let yes_no b = if b then "yes" else "no"
-
 let health_line t =
   let n = Replica.size t.group in
   let ready = Replica.ready_count t.group in
   let ejected = Replica.ejected_count t.group in
   let reason =
-    if t.draining then Some "draining"
+    if draining t then Some "draining"
     else if ready = 0 then Some "no-ready-replica"
     else None
   in
@@ -347,9 +332,9 @@ let health_line t =
      ejected=%d browned_out=%s requests=%d forwarded=%d hedges=%d \
      hedges_won=%d hedges_suppressed=%d retries=%d budget_spent=%d \
      budget_denied=%d budget_tokens=%.2f stale=%d%s"
-    (yes_no (reason = None))
-    (yes_no t.draining) ready n ejected
-    (yes_no (Replica.all_browned_out t.group))
+    (Protocol.yes_no (reason = None))
+    (Protocol.yes_no (draining t)) ready n ejected
+    (Protocol.yes_no (Replica.all_browned_out t.group))
     s.requests s.forwarded s.hedges s.hedges_won s.hedges_suppressed s.retries
     (Replica.Budget.spent t.budget)
     (Replica.Budget.denied t.budget)
@@ -404,66 +389,39 @@ let handle_line t line =
 (* Background health probing                                           *)
 (* ------------------------------------------------------------------ *)
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec scan i = i + nn <= nh && (String.sub hay i nn = needle || scan (i + 1)) in
-  nn = 0 || scan 0
-
 (* The [load=<n>] token of a HEALTH line — a brownout server's
    degradation level.  Absent (pre-brownout servers, coordinators) or
    malformed reads as 0: cool. *)
 let probed_load line =
-  List.fold_left
-    (fun acc word ->
-      if String.length word > 5 && String.sub word 0 5 = "load=" then
-        match int_of_string_opt (String.sub word 5 (String.length word - 5)) with
-        | Some n when n >= 0 -> n
-        | _ -> acc
-      else acc)
-    0
-    (String.split_on_char ' ' line)
+  match Option.bind (Protocol.field "load" line) int_of_string_opt with
+  | Some n when n >= 0 -> n
+  | _ -> 0
 
 (* The [staleness=<s>] token of a HEALTH line — the member's ingestion
    staleness bound (age of its oldest acknowledged-but-unflushed WAL
    record).  Absent (no live ingestion, or a fully flushed member) or
    malformed reads as 0: fresh. *)
 let probed_staleness line =
-  List.fold_left
-    (fun acc word ->
-      if String.length word > 10 && String.sub word 0 10 = "staleness=" then
-        match float_of_string_opt (String.sub word 10 (String.length word - 10)) with
-        | Some s when s >= 0.0 && Float.is_finite s -> s
-        | _ -> acc
-      else acc)
-    0.0
-    (String.split_on_char ' ' line)
+  match Option.bind (Protocol.field "staleness" line) float_of_string_opt with
+  | Some s when s >= 0.0 && Float.is_finite s -> s
+  | _ -> 0.0
 
 (* The [write_state=<s>] token of a HEALTH line — the member's
    write-pressure admission state.  Absent (pre-write-pressure servers,
    or no ingestion state and no watermark) or malformed reads as "ok":
    the member would admit a mutation. *)
 let probed_write_state line =
-  List.fold_left
-    (fun acc word ->
-      if String.length word > 12 && String.sub word 0 12 = "write_state=" then
-        match String.sub word 12 (String.length word - 12) with
-        | ("ok" | "paced" | "shedding" | "readonly") as s -> s
-        | _ -> acc
-      else acc)
-    "ok"
-    (String.split_on_char ' ' line)
+  match Protocol.field "write_state" line with
+  | Some (("ok" | "paced" | "shedding" | "readonly") as s) -> s
+  | _ -> "ok"
 
 (* The [catalog_hash=<hex>] token of a HEALTH line — the member's
    catalog content identity.  [None] on pre-anti-entropy servers, so
    divergence detection degrades to off against an old fleet. *)
 let probed_hash line =
-  List.fold_left
-    (fun acc word ->
-      if String.length word > 13 && String.sub word 0 13 = "catalog_hash=" then
-        Some (String.sub word 13 (String.length word - 13))
-      else acc)
-    None
-    (String.split_on_char ' ' line)
+  match Protocol.field "catalog_hash" line with
+  | Some "" -> None
+  | hash -> hash
 
 let probe_replica t r =
   match Transport.connect ~timeout:t.config.connect_timeout (Replica.path r) with
@@ -477,27 +435,23 @@ let probe_replica t r =
           Result.bind (Transport.send fd "HEALTH\n" ~deadline) (fun () ->
               Transport.read_line (Transport.reader fd) ~deadline)
         with
-        | Ok line when contains line " ready=yes" ->
+        | Ok line when String.starts_with ~prefix:"ok health" line ->
           Replica.note_probe ~load:(probed_load line)
             ~staleness:(probed_staleness line)
             ~write_state:(probed_write_state line)
-            ?catalog_hash:(probed_hash line) t.group r `Ready
-        | Ok line when starts_with "ok health" line ->
-          Replica.note_probe ~load:(probed_load line)
-            ~staleness:(probed_staleness line)
-            ~write_state:(probed_write_state line)
-            ?catalog_hash:(probed_hash line) t.group r `Not_ready
+            ?catalog_hash:(probed_hash line) t.group r
+            (if Protocol.field "ready" line = Some "yes" then `Ready else `Not_ready)
         | Ok _ | Error _ -> Replica.note_probe t.group r `Failed)
 
 let probe_loop t =
-  while not t.draining do
+  while not (draining t) do
     List.iter
-      (fun r -> if not t.draining then probe_replica t r)
+      (fun r -> if not (draining t) then probe_replica t r)
       (Replica.members t.group);
     (* one sweep's worth of fresh hashes: recompute who diverged *)
     Replica.mark_divergent t.group;
     let until = Unix.gettimeofday () +. t.config.probe_interval in
-    while (not t.draining) && Unix.gettimeofday () < until do
+    while not (draining t) && Unix.gettimeofday () < until do
       Thread.delay 0.05
     done
   done
@@ -506,135 +460,19 @@ let probe_loop t =
 (* Front end                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let serve_channels t ic oc =
-  let rec loop () =
-    if t.draining then ()
-    else
-      match input_line ic with
-      | exception End_of_file -> ()
-      | exception Sys_error _ -> ()
-      | line ->
-        let response, quit = handle_line t line in
-        (match
-           output_string oc response;
-           output_char oc '\n';
-           flush oc
-         with
-        | () -> if not quit then loop ()
-        | exception Sys_error _ -> ())
-  in
-  loop ()
+let serve_channels t ic oc = Transport.serve_lines t.drain (handle_line t) ic oc
 
-let serve_socket ?(backlog = 64) t ~path =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.set_close_on_exec sock;
-  (match Unix.unlink path with
-  | () -> ()
-  | exception Unix.Unix_error _ -> ());
-  Unix.bind sock (Unix.ADDR_UNIX path);
-  Unix.listen sock backlog;
-  let admission = Server.Admission.create t.config.max_inflight in
-  let conn_lock = Mutex.create () in
-  let conns : (Unix.file_descr, unit) Hashtbl.t = Hashtbl.create 16 in
-  let register fd = Mutex.protect conn_lock (fun () -> Hashtbl.replace conns fd ()) in
-  let unregister fd = Mutex.protect conn_lock (fun () -> Hashtbl.remove conns fd) in
-  let live_conns () =
-    Mutex.protect conn_lock (fun () ->
-        Hashtbl.fold (fun fd () acc -> fd :: acc) conns [])
-  in
+let serve_socket t ~path =
+  let listener = Transport.listen path in
   let prober = Thread.create probe_loop t in
-  let connection fd =
-    Fun.protect
-      ~finally:(fun () ->
-        Server.Admission.release admission;
-        unregister fd;
-        Transport.close_quietly fd)
-      (fun () ->
-        let ic = Unix.in_channel_of_descr fd in
-        let oc = Unix.out_channel_of_descr fd in
-        let rec loop () =
-          match input_line ic with
-          | exception End_of_file -> ()
-          | exception Sys_error _ -> ()
-          | exception Unix.Unix_error _ -> ()
-          | line ->
-            let response, quit = handle_line t line in
-            (match
-               output_string oc response;
-               output_char oc '\n';
-               flush oc
-             with
-            | () -> if not quit && not t.draining then loop ()
-            | exception Sys_error _ -> ()
-            | exception Unix.Unix_error _ -> ())
-        in
-        loop ())
-  in
   log_event t "event=listening socket=%s replicas=%d hedge_after=%.3fs" path
     (Replica.size t.group) t.config.hedge_after;
-  let rec accept_loop () =
-    if t.draining then ()
-    else
-      match
-        Xmldoc.Io_fault.tap Xmldoc.Io_fault.Accept ~path;
-        Unix.select [ sock ] [] [] 0.2
-      with
-      | exception Unix.Unix_error (EINTR, _, _) -> accept_loop ()
-      | exception Unix.Unix_error (e, _, _) ->
-        log_event t "event=accept-error errno=%s" (Unix.error_message e);
-        Thread.delay 0.05;
-        accept_loop ()
-      | [], _, _ -> accept_loop ()
-      | _ :: _, _, _ ->
-        (match Unix.accept sock with
-        | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) -> ()
-        | exception Unix.Unix_error (e, _, _) ->
-          log_event t "event=accept-error errno=%s" (Unix.error_message e);
-          Thread.delay 0.05
-        | fd, _ ->
-          if Server.Admission.try_acquire admission then begin
-            register fd;
-            ignore (Thread.create connection fd : Thread.t)
-          end
-          else begin
-            let oc = Unix.out_channel_of_descr fd in
-            (try
-               output_string oc
-                 (Protocol.error_line ~cls:"overloaded"
-                    (Printf.sprintf "%d connections already in flight"
-                       t.config.max_inflight)
-                 ^ "\n");
-               flush oc
-             with Sys_error _ -> ());
-            Transport.close_quietly fd
-          end);
-        accept_loop ()
-  in
-  accept_loop ();
-  (* graceful drain: stop accepting, let in-flight scatters finish,
-     sever stragglers, stop the prober, flush final counters *)
-  Transport.close_quietly sock;
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  log_event t "event=draining inflight=%d deadline=%.1fs"
-    (Server.Admission.in_flight admission)
-    t.config.drain_deadline;
-  List.iter
-    (fun fd ->
-      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    (live_conns ());
-  let give_up = Unix.gettimeofday () +. t.config.drain_deadline in
-  while
-    Server.Admission.in_flight admission > 0 && Unix.gettimeofday () < give_up
-  do
-    Thread.delay 0.02
-  done;
-  let stragglers = live_conns () in
-  List.iter
-    (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    stragglers;
-  if stragglers <> [] then Thread.delay 0.1;
+  ignore
+    (Transport.serve_connections listener t.drain
+       ~admission:(Transport.Admission.create t.config.max_inflight)
+       ~drain_deadline:t.config.drain_deadline (handle_line t)
+      : int);
+  (* after the shared drain: stop the prober, flush final counters *)
   Thread.join prober;
   let s = t.stats in
   log_event t

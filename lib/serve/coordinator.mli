@@ -98,16 +98,16 @@ val handle_line : t -> string -> string * bool
     scatter resolves (a response, the deadline, or group exhaustion). *)
 
 val serve_channels : t -> in_channel -> out_channel -> unit
-(** Stdio front end: serve line-by-line until EOF, QUIT or drain. *)
+(** Stdio front end ({!Transport.serve_lines}): serve line-by-line
+    until EOF, QUIT or drain.  No prober runs. *)
 
-val serve_socket : ?backlog:int -> t -> path:string -> unit
-(** Accept loop on a Unix domain socket at [path], one thread per
-    connection, [max_inflight] admission control, background prober
-    running throughout.  Returns only after a drain: the listener is
-    unlinked, in-flight scatters finish (bounded by [drain_deadline]),
-    stragglers are severed, the prober joins, and a final
-    [event=drained] record with the hedge/budget counters is logged.
-    The caller then exits 0. *)
+val serve_socket : t -> path:string -> unit
+(** Serve a Unix domain socket at [path] through the shared listener
+    ({!Transport.serve_connections}), with the background prober
+    running throughout.  Returns only after a drain: after the
+    listener's drain the prober joins and a final [event=drained]
+    record with the hedge/budget counters is logged.  The caller then
+    exits 0. *)
 
 val draining : t -> bool
 

@@ -165,23 +165,13 @@ let worker_main config dir req_r resp_w =
   let catalog = Catalog.create ~limits:config.limits dir in
   ignore (Catalog.refresh catalog : Catalog.event list);
   let caps = worker_caps config in
-  let ic = Unix.in_channel_of_descr req_r in
-  let oc = Unix.out_channel_of_descr resp_w in
-  let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> Unix._exit 0
-    | exception Sys_error _ -> Unix._exit 0
-    | line -> (
-      let response = worker_handle config caps catalog line in
-      match
-        output_string oc response;
-        output_char oc '\n';
-        flush oc
-      with
-      | () -> loop ()
-      | exception Sys_error _ -> Unix._exit 0)
-  in
-  loop ()
+  (* the parent never drains a worker: it closes the pipe or kills it *)
+  Transport.serve_lines
+    (Transport.drain_switch ~log:ignore)
+    (fun line -> (worker_handle config caps catalog line, false))
+    (Unix.in_channel_of_descr req_r)
+    (Unix.out_channel_of_descr resp_w);
+  Unix._exit 0
 
 (* ------------------------------------------------------------------ *)
 (* Parent: spawn / kill / backoff                                      *)
@@ -339,11 +329,6 @@ let acquire t ~give_up =
   in
   go ()
 
-let response_class resp =
-  match String.split_on_char ' ' resp with
-  | "error" :: cls :: _ -> Some cls
-  | _ -> None
-
 let exec t ~name ~query_key ~opts ~line =
   if Array.length t.slots = 0 then
     Protocol.error_line ~cls:"overloaded" "query pool is disabled"
@@ -389,7 +374,7 @@ let exec t ~name ~query_key ~opts ~line =
                  Out_of_memory itself) counts toward quarantine too:
                  the pair is just as poisonous, the worker merely got
                  lucky enough to say so. *)
-              if response_class response = Some "worker-crash" then
+              if Protocol.error_class response = Some "worker-crash" then
                 record_poison_u t ~name ~query_key);
           response)))
 

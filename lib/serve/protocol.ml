@@ -333,6 +333,31 @@ let error_line ~cls message =
 let fault_line fault =
   error_line ~cls:(Xmldoc.Fault.class_name fault) (Xmldoc.Fault.to_string fault)
 
+let yes_no b = if b then "yes" else "no"
+
 let degraded_token = function
   | None -> "no"
   | Some stop -> Xmldoc.Budget.stop_to_string stop
+
+(* Reading responses: both readers stop at their match and copy only
+   the value, so the fields ahead of an ANSWER's tree never cost it. *)
+
+let rec word_end line i =
+  if i >= String.length line || line.[i] = ' ' then i else word_end line (i + 1)
+
+let field key line =
+  let k = String.length key in
+  let rec matches i j = j = k || (line.[i + j] = key.[j] && matches i (j + 1)) in
+  let rec find i =
+    if i + k >= String.length line then None
+    else if line.[i + k] = '=' && matches i 0 then
+      let v = i + k + 1 in
+      Some (String.sub line v (word_end line v - v))
+    else find (word_end line i + 1)
+  in
+  find 0
+
+let error_class line =
+  if String.starts_with ~prefix:"error " line then
+    Some (String.sub line 6 (word_end line 6 - 6))
+  else None

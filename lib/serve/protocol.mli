@@ -228,5 +228,15 @@ val error_line : cls:string -> string -> string
 val fault_line : Xmldoc.Fault.t -> string
 (** [error <class> <message>] for a structured fault. *)
 
+val yes_no : bool -> string
+
 val degraded_token : Xmldoc.Budget.stop option -> string
 (** [no], [deadline], [nodes], [work] or [heap]. *)
+
+val field : string -> string -> string option
+(** [field key line] is the value of the first [key=<value>] word of a
+    response line (a word starts the line or follows a space), read
+    only up to that word; [None] when no word has that key. *)
+
+val error_class : string -> string option
+(** [Some cls] for an [error <cls> ...] line, read up to the class. *)

@@ -35,8 +35,6 @@ type outcome = {
   degraded : bool;
 }
 
-let yes_no b = if b then "yes" else "no"
-
 let any_degraded answers =
   List.exists (fun (a : Sketch.Eval.answer) -> a.degraded) answers
 
@@ -118,7 +116,7 @@ let run ?tier ?levels ~budget kind synopsis q =
              (fun acc (ans : Sketch.Eval.answer) ->
                acc + Sketch.Synopsis.num_nodes ans.synopsis)
              0 answers)
-          (yes_no (List.for_all (fun (a : Sketch.Eval.answer) -> a.empty) answers));
+          (Protocol.yes_no (List.for_all (fun (a : Sketch.Eval.answer) -> a.empty) answers));
       degraded = any_degraded answers;
     }
   | Answer ->
@@ -163,7 +161,7 @@ let run ?tier ?levels ~budget kind synopsis q =
         response =
           Printf.sprintf "ok answer degraded=%s%s truncated=%s nodes=%d tree=%s"
             (degraded_token budget answers)
-            tier_tag (yes_no truncated) nodes
+            tier_tag (Protocol.yes_no truncated) nodes
             (Protocol.one_line (Xmldoc.Printer.to_string tree));
         degraded =
           Xmldoc.Budget.stopped budget <> None

@@ -323,25 +323,21 @@ let install ~dir ~name text =
 (* A peer's per-synopsis identities, from its LIST line's
    [hashes=name:crc:fp,...] token. *)
 let parse_hashes_token line =
-  List.fold_left
-    (fun acc word ->
-      match kv "hashes=" word with
-      | None -> acc
-      | Some csv ->
-        List.filter_map
-          (fun item ->
-            match String.split_on_char ':' item with
-            | [ name; crc; fp ] -> Some (name, (crc, fp))
-            | _ -> None)
-          (String.split_on_char ',' csv))
-    [] (String.split_on_char ' ' line)
+  match Protocol.field "hashes" line with
+  | None -> []
+  | Some csv ->
+    List.filter_map
+      (fun item ->
+        match String.split_on_char ':' item with
+        | [ name; crc; fp ] -> Some (name, (crc, fp))
+        | _ -> None)
+      (String.split_on_char ',' csv)
 
 let peer_hashes ~timeout peer =
   match request_line ~timeout peer "LIST" with
   | Error e -> Error e
   | Ok line ->
-    if String.length line >= 3 && String.sub line 0 3 = "ok " then
-      Ok (parse_hashes_token line)
+    if String.starts_with ~prefix:"ok " line then Ok (parse_hashes_token line)
     else Error (peer ^ ": " ^ line)
 
 (* ------------------------------------------------------------------ *)

@@ -68,35 +68,6 @@ type stats = {
          deadline was below the coarsest-tier latency estimate *)
 }
 
-(* ------------------------------------------------------------------ *)
-(* Admission control                                                   *)
-(* ------------------------------------------------------------------ *)
-
-module Admission = struct
-  type t = {
-    mutex : Mutex.t;
-    capacity : int;
-    mutable in_flight : int;
-  }
-
-  let create capacity = { mutex = Mutex.create (); capacity; in_flight = 0 }
-
-  let try_acquire a =
-    Mutex.protect a.mutex (fun () ->
-        if a.in_flight >= a.capacity then false
-        else begin
-          a.in_flight <- a.in_flight + 1;
-          true
-        end)
-
-  let release a =
-    Mutex.protect a.mutex (fun () -> a.in_flight <- max 0 (a.in_flight - 1))
-
-  let in_flight a = Mutex.protect a.mutex (fun () -> a.in_flight)
-
-  let capacity a = a.capacity
-end
-
 type t = {
   config : config;
   catalog : Catalog.t;
@@ -114,14 +85,11 @@ type t = {
      PING/HEALTH/STAT never queue behind a slow query. *)
   eval_lock : Mutex.t;
   mutable req_id : int;
-  (* Lifecycle: [draining] is flipped by {!request_drain} (usually from
-     a SIGTERM/SIGINT handler) and only ever goes false -> true; the
-     accept loop, the channel loops and HEALTH all read it.  A plain
-     mutable bool is enough — flag stores are atomic in OCaml, and
-     every reader tolerates seeing the flip one iteration late. *)
-  mutable draining : bool;
+  drain : Transport.drain;
   mutable catalog_ok : bool;
-  mutable admission : Admission.t option;
+  (* connections in flight on the socket front end: HEALTH and the
+     brownout controller read it *)
+  admission : Transport.Admission.t;
   (* The brownout controller, present iff [config.brownout] is set: the
      read path feeds it latencies and consults its level. *)
   overload : Overload.t option;
@@ -151,26 +119,13 @@ let write_pressure t = t.pressure
 
 let bump f t = Mutex.protect t.stats_lock (fun () -> f t.stats)
 
-let draining t = t.draining
+let draining t = Transport.draining t.drain
 
 let log_event t fmt = Printf.ksprintf t.log fmt
 
-let request_drain t =
-  if not t.draining then begin
-    t.draining <- true;
-    log_event t "event=drain-requested"
-  end
+let request_drain t = Transport.request_drain t.drain
 
-(* Signal-handler-safe: [request_drain] only stores a flag and calls
-   the log callback; the default stderr logger allocates, which OCaml
-   handlers permit (they run between bytecode/native safepoints, not
-   in async-signal context). *)
-let install_drain_signals t =
-  let handle = Sys.Signal_handle (fun _ -> request_drain t) in
-  (try Sys.set_signal Sys.sigterm handle
-   with Invalid_argument _ | Sys_error _ -> ());
-  try Sys.set_signal Sys.sigint handle
-  with Invalid_argument _ | Sys_error _ -> ()
+let install_drain_signals t = Transport.install_drain_signals t.drain
 
 let log_catalog_events t events =
   (* Readiness tracking: any scan error marks the catalog unhealthy
@@ -218,9 +173,9 @@ let create ?(log = prerr_endline) ?(config = default_config) dir =
       stats_lock = Mutex.create ();
       eval_lock = Mutex.create ();
       req_id = 0;
-      draining = false;
+      drain = Transport.drain_switch ~log;
       catalog_ok = true;
-      admission = None;
+      admission = Transport.Admission.create config.max_inflight;
       overload =
         Option.map (fun config -> Overload.create ~config ()) config.brownout;
       engines = Hashtbl.create 8;
@@ -306,8 +261,6 @@ let resolve t name =
         (Protocol.error_line ~cls:"not-found"
            (Printf.sprintf "no synopsis %S in the catalog" name)))
 
-let yes_no b = if b then "yes" else "no"
-
 let find_engine t name =
   Mutex.protect t.engines_lock (fun () -> Hashtbl.find_opt t.engines name)
 
@@ -343,16 +296,12 @@ let all_engines t =
 
 (* Did a pool worker's response carry a partial answer?  The parent
    only sees the rendered line, so it recovers the fact from the
-   protocol fields it would have rendered itself. *)
+   protocol fields it would have rendered itself; both precede an
+   ANSWER's tree, so neither read reaches it. *)
 let response_degraded resp =
-  let contains needle =
-    let nl = String.length needle and hl = String.length resp in
-    let rec go i = i + nl <= hl && (String.sub resp i nl = needle || go (i + 1)) in
-    go 0
-  in
-  String.length resp >= 3
-  && String.sub resp 0 3 = "ok "
-  && ((not (contains " degraded=no")) || contains " truncated=yes")
+  String.starts_with ~prefix:"ok " resp
+  && (Protocol.field "degraded" resp <> Some "no"
+     || Protocol.field "truncated" resp = Some "yes")
 
 (* The read path.  [line] is the raw request line — with the pool
    enabled it is forwarded verbatim to a worker (which re-parses it),
@@ -384,9 +333,7 @@ let exec_read t ~line kind (opts : Protocol.opts) name q =
            (Option.value opts.deadline ~default:0.0))
     end
     else begin
-      let queue_depth =
-        match t.admission with Some a -> Admission.in_flight a | None -> 0
-      in
+      let queue_depth = Transport.Admission.in_flight t.admission in
       let _, tag = Query_exec.select_tier entry opts ~level in
       (* A single-tier entry's only rung IS its coarsest answer, so its
          latencies train the admission estimate too. *)
@@ -666,15 +613,12 @@ let handle_request t ~line (req : Protocol.request) =
        responsive, connection pool not saturated.  A rolling restart
        SIGTERMs one server and waits for the next one's [ready=yes]
        before shifting traffic to it. *)
-    let inflight, capacity =
-      match t.admission with
-      | Some a -> (Admission.in_flight a, Admission.capacity a)
-      | None -> (0, t.config.max_inflight)
-    in
+    let inflight = Transport.Admission.in_flight t.admission
+    and capacity = Transport.Admission.capacity t.admission in
     let jobs_ok = match Jobs.poll t.jobs with () -> true | exception _ -> false in
     let overloaded = inflight >= capacity in
     let reason =
-      if t.draining then Some "draining"
+      if draining t then Some "draining"
       else if not t.catalog_ok then Some "catalog-scan-failed"
       else if not jobs_ok then Some "jobs-unresponsive"
       else if overloaded then Some "overloaded"
@@ -743,8 +687,8 @@ let handle_request t ~line (req : Protocol.request) =
     ( Printf.sprintf
         "ok health live=yes ready=%s draining=%s catalog=%d quarantined=%d \
          inflight=%d/%d jobs=%d%s%s%s%s%s%s"
-        (yes_no (reason = None))
-        (yes_no t.draining)
+        (Protocol.yes_no (reason = None))
+        (Protocol.yes_no (draining t))
         (Catalog.size t.catalog)
         (List.length (Catalog.quarantined t.catalog))
         inflight capacity
@@ -827,7 +771,7 @@ let handle_request t ~line (req : Protocol.request) =
           (Sketch.Synopsis.num_nodes s)
           (Sketch.Synopsis.num_edges s)
           (Sketch.Synopsis.size_bytes s)
-          (yes_no (Sketch.Synopsis.is_count_stable s))
+          (Protocol.yes_no (Sketch.Synopsis.is_count_stable s))
           quarantine ingest,
         false )
     | None when Catalog.fault_for t.catalog name <> None ->
@@ -991,24 +935,7 @@ let handle_line t line =
       log_event t "event=request-error id=%d class=internal msg=%S" req_id msg;
       (Protocol.error_line ~cls:"internal" msg, false))
 
-let serve_channels t ic oc =
-  let rec loop () =
-    if t.draining then ()
-    else
-      match input_line ic with
-      | exception End_of_file -> ()
-      | exception Sys_error _ -> ()
-      | line ->
-        let response, quit = handle_line t line in
-        (match
-           output_string oc response;
-           output_char oc '\n';
-           flush oc
-         with
-        | () -> if not quit then loop ()
-        | exception Sys_error _ -> ())
-  in
-  loop ()
+let serve_channels t ic oc = Transport.serve_lines t.drain (handle_line t) ic oc
 
 (* ------------------------------------------------------------------ *)
 (* The background scrubber                                             *)
@@ -1023,13 +950,13 @@ let serve_channels t ic oc =
 let scrub_loop t =
   let interval = t.config.scrub_interval in
   let sleep_until wake =
-    while (not t.draining) && Unix.gettimeofday () < wake do
+    while not (draining t) && Unix.gettimeofday () < wake do
       Thread.delay 0.02
     done
   in
-  while not t.draining do
+  while not (draining t) do
     sleep_until (Unix.gettimeofday () +. interval);
-    if not t.draining then begin
+    if not (draining t) then begin
       (match Jobs.submit_scrub t.jobs with
       | Error _ -> () (* a previous scrub still runs: skip this period *)
       | Ok job ->
@@ -1040,7 +967,7 @@ let scrub_loop t =
           Jobs.poll t.jobs;
           match job.Jobs.state with
           | Jobs.Running _ | Jobs.Backoff _ ->
-            if (not t.draining) && Unix.gettimeofday () < give_up then begin
+            if not (draining t) && Unix.gettimeofday () < give_up then begin
               Thread.delay 0.02;
               await ()
             end
@@ -1051,7 +978,7 @@ let scrub_loop t =
       let swept = sweep_tmp t in
       if corrupt > 0 || swept <> [] then
         log_event t "event=scrub corrupt=%d swept=%d" corrupt (List.length swept);
-      if (not t.draining) && t.config.peers <> [] then
+      if not (draining t) && t.config.peers <> [] then
         ignore (repair_now t : Repair.outcome list)
     end
   done
@@ -1060,22 +987,8 @@ let scrub_loop t =
 (* Unix-socket front end                                               *)
 (* ------------------------------------------------------------------ *)
 
-let serve_socket ?(backlog = 64) t ~path =
-  (* A client that disconnects mid-response must surface as a
-     [Sys_error] (EPIPE) on the write — which the per-connection
-     handlers catch — not as SIGPIPE, whose default action kills the
-     whole process. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.set_close_on_exec sock;
-  (match Unix.unlink path with
-  | () -> ()
-  | exception Unix.Unix_error _ -> ());
-  Unix.bind sock (Unix.ADDR_UNIX path);
-  Unix.listen sock backlog;
-  let admission = Admission.create t.config.max_inflight in
-  t.admission <- Some admission;
+let serve_socket t ~path =
+  let listener = Transport.listen path in
   (* No server-wide request lock: every shared subsystem (label
      interning, the catalog, the job supervisor, the stats record, the
      pool) carries its own internal lock, and in-process evaluation —
@@ -1083,138 +996,21 @@ let serve_socket ?(backlog = 64) t ~path =
      PING/HEALTH/STAT on one connection therefore never queue behind a
      long QUERY on another; admission control still sheds connections
      beyond [max_inflight] instead of letting them pile up. *)
-  (* Registry of live connection fds: drain shuts their receive sides
-     down so threads blocked in [input_line] see EOF and exit, while
-     responses still in flight go out on the untouched send sides. *)
-  let conn_lock = Mutex.create () in
-  let conns : (Unix.file_descr, unit) Hashtbl.t = Hashtbl.create 16 in
-  let register fd = Mutex.protect conn_lock (fun () -> Hashtbl.replace conns fd ()) in
-  let unregister fd = Mutex.protect conn_lock (fun () -> Hashtbl.remove conns fd) in
-  let live_conns () =
-    Mutex.protect conn_lock (fun () ->
-        Hashtbl.fold (fun fd () acc -> fd :: acc) conns [])
-  in
-  let connection fd =
-    Fun.protect
-      ~finally:(fun () ->
-        Admission.release admission;
-        unregister fd;
-        Transport.close_quietly fd)
-      (fun () ->
-        let ic = Unix.in_channel_of_descr fd in
-        let oc = Unix.out_channel_of_descr fd in
-        let rec loop () =
-          match
-            Xmldoc.Io_fault.tap_retrying Xmldoc.Io_fault.Read ~path;
-            input_line ic
-          with
-          | exception End_of_file -> ()
-          | exception Sys_error _ -> ()
-          | exception Unix.Unix_error _ -> () (* injected I/O fault: drop the connection *)
-          | line ->
-            let response, quit = handle_line t line in
-            (match
-               Xmldoc.Io_fault.tap_retrying Xmldoc.Io_fault.Write ~path;
-               output_string oc response;
-               output_char oc '\n';
-               flush oc
-             with
-            (* a received line is always answered, drain or not; only
-               AFTER responding does a draining connection close *)
-            | () -> if not quit && not t.draining then loop ()
-            | exception Sys_error _ -> ()
-            | exception Unix.Unix_error _ -> ())
-        in
-        loop ())
-  in
   let scrubber =
     if t.config.scrub_interval > 0.0 then Some (Thread.create scrub_loop t)
     else None
   in
   log_event t "event=listening socket=%s max_inflight=%d scrub_interval=%gs" path
     t.config.max_inflight t.config.scrub_interval;
-  (* [select] with a short timeout rather than a bare blocking [accept]:
-     the loop must notice [draining] promptly even when no connection
-     ever arrives and no signal happens to land on this thread. *)
-  let rec accept_loop () =
-    if t.draining then ()
-    else
-      match
-        Xmldoc.Io_fault.tap Xmldoc.Io_fault.Accept ~path;
-        Unix.select [ sock ] [] [] 0.2
-      with
-      | exception Unix.Unix_error (EINTR, _, _) -> accept_loop ()
-      | exception Unix.Unix_error (e, _, _) ->
-        (* injected faults and exotic errnos: log, breathe, keep
-           listening — the accept loop must outlive any single error *)
-        log_event t "event=accept-error errno=%s" (Unix.error_message e);
-        Thread.delay 0.05;
-        accept_loop ()
-      | [], _, _ -> accept_loop ()
-      | _ :: _, _, _ ->
-        (match Unix.accept sock with
-        | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) ->
-          (* the connection died before we got it, or a signal landed:
-             nothing to serve, keep listening *)
-          ()
-        | exception Unix.Unix_error (((EMFILE | ENFILE | ENOMEM) as e), _, _) ->
-          (* fd/memory exhaustion — exactly the overload admission
-             control exists for.  Back off briefly so in-flight
-             connections can drain and release descriptors. *)
-          log_event t "event=accept-error errno=%s" (Unix.error_message e);
-          Thread.delay 0.05
-        | exception Unix.Unix_error (e, _, _) ->
-          log_event t "event=accept-error errno=%s" (Unix.error_message e);
-          Thread.delay 0.05
-        | fd, _ ->
-          if Admission.try_acquire admission then begin
-            register fd;
-            ignore (Thread.create connection fd : Thread.t)
-          end
-          else begin
-            (* shed load immediately rather than tying up a worker *)
-            let oc = Unix.out_channel_of_descr fd in
-            (try
-               output_string oc
-                 (Protocol.error_line ~cls:"overloaded"
-                    (Printf.sprintf "%d connections already in flight"
-                       t.config.max_inflight)
-                 ^ "\n");
-               flush oc
-             with Sys_error _ -> ());
-            Transport.close_quietly fd;
-            bump (fun s -> s.errors <- s.errors + 1) t
-          end);
-        accept_loop ()
+  let severed =
+    Transport.serve_connections listener t.drain ~admission:t.admission
+      ~drain_deadline:t.config.drain_deadline
+      ~on_shed:(fun () -> bump (fun s -> s.errors <- s.errors + 1) t)
+      (handle_line t)
   in
-  accept_loop ();
-  (* ---------------- graceful drain ---------------- *)
-  (* 1. Stop accepting: close and unlink the listening socket so new
-     connects fail fast (clients fail over to the next server). *)
-  Transport.close_quietly sock;
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  log_event t "event=draining inflight=%d deadline=%.1fs"
-    (Admission.in_flight admission) t.config.drain_deadline;
-  (* 2. Let in-flight work finish: shut down the receive side of every
-     live connection — threads parked in [input_line] wake with EOF,
-     already-read requests still get their responses on the send side —
-     then wait for the pool to empty, bounded by the drain deadline. *)
-  List.iter
-    (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    (live_conns ());
-  let give_up = Unix.gettimeofday () +. t.config.drain_deadline in
-  while Admission.in_flight admission > 0 && Unix.gettimeofday () < give_up do
-    Thread.delay 0.02
-  done;
-  (* 3. Past the deadline, sever what remains rather than hang. *)
-  let stragglers = live_conns () in
-  List.iter
-    (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    stragglers;
-  if stragglers <> [] then Thread.delay 0.1;
-  (* 4. Reap build workers (checkpoints are kept: the next server
-     generation resumes them) and the query pool (pure readers —
-     SIGKILL, nothing to keep), then flush final stats. *)
+  (* After the shared drain, reap build workers (checkpoints are kept:
+     the next server generation resumes them) and the query pool (pure
+     readers — SIGKILL, nothing to keep), then flush final stats. *)
   (match scrubber with Some thread -> Thread.join thread | None -> ());
   let workers_killed = Jobs.drain t.jobs in
   (* Ingestion engines: best-effort final flush (acknowledged records
@@ -1228,9 +1024,8 @@ let serve_socket ?(backlog = 64) t ~path =
       try Ingest.close eng with _ -> ())
     (all_engines t);
   let pool_killed = Pool.shutdown t.pool in
-  t.admission <- None;
   log_event t
     "event=drained served=%d errors=%d degraded=%d connections_severed=%d \
      workers_killed=%d pool_killed=%d"
-    t.stats.served t.stats.errors t.stats.degraded (List.length stragglers)
-    workers_killed pool_killed
+    t.stats.served t.stats.errors t.stats.degraded severed workers_killed
+    pool_killed

@@ -165,9 +165,9 @@ val handle_line : t -> string -> string * bool
     Total — never raises. *)
 
 val serve_channels : t -> in_channel -> out_channel -> unit
-(** Serve requests line-by-line until EOF, QUIT, a broken channel or a
-    requested drain.  This is the stdio front end, and what tests drive
-    over a pipe. *)
+(** Serve requests line-by-line through {!Transport.serve_lines} until
+    EOF, QUIT, a broken channel or a requested drain.  This is the
+    stdio front end, and what tests drive over a pipe. *)
 
 (** {2 Graceful shutdown}
 
@@ -189,33 +189,18 @@ val install_drain_signals : t -> unit
     Ctrl-C) triggers a graceful drain instead of killing the process
     mid-request. *)
 
-(** Bounded-in-flight admission control, exposed for unit tests. *)
-module Admission : sig
-  type t
-
-  val create : int -> t
-
-  val try_acquire : t -> bool
-  (** [false] = at capacity, shed the work. *)
-
-  val release : t -> unit
-  val in_flight : t -> int
-  val capacity : t -> int
-end
-
-val serve_socket : ?backlog:int -> t -> path:string -> unit
-(** Accept loop on a Unix domain socket at [path] (an existing socket
-    file is replaced).  Each connection is served by a thread;
-    connections beyond [max_inflight] are answered with a single
-    [error overloaded ...] line and closed.  There is no server-wide
-    request lock: every shared subsystem locks internally, and only
-    in-process evaluation (pool disabled) is serialized — read-only
-    verbs (PING, HEALTH, STAT, LIST, JOBS) never queue behind a slow
-    query.
+val serve_socket : t -> path:string -> unit
+(** Serve a Unix domain socket at [path] through the shared listener
+    ({!Transport.serve_connections}), with the scrubber thread running
+    when [scrub_interval > 0]; a shed connection counts in [errors].
+    There is no server-wide request lock: every shared subsystem locks
+    internally, and only in-process evaluation (pool disabled) is
+    serialized — read-only verbs (PING, HEALTH, STAT, LIST, JOBS) never
+    queue behind a slow query.
 
     Returns only after a drain ({!request_drain} or an installed
-    signal): the listener is closed and unlinked, in-flight requests
-    get their responses (bounded by [config.drain_deadline]),
-    stragglers are severed, build workers are reaped
-    ({!Jobs.drain} — checkpoints kept), and a final [event=drained]
-    stats record is logged.  The caller then exits 0. *)
+    signal): after the listener's drain the scrubber joins, build
+    workers are reaped ({!Jobs.drain} — checkpoints kept), engines are
+    flushed and closed, the pool is shut down, and a final
+    [event=drained] stats record is logged.  The caller then exits
+    0. *)

@@ -1,9 +1,9 @@
 (* Tests for the serving runtime: catalog crash-safety and hot-reload,
-   the request protocol, admission control, an end-to-end smoke of the
-   server loop over real channels, and a seeded chaos run that
-   interleaves malformed requests, corrupt snapshots, expired deadlines
-   and over-cap answers — asserting the server never dies and every
-   response is structurally well-formed. *)
+   the request protocol, an end-to-end smoke of the server loop over
+   real channels, and a seeded chaos run that interleaves malformed
+   requests, corrupt snapshots, expired deadlines and over-cap answers
+   — asserting the server never dies and every response is structurally
+   well-formed. *)
 
 module Server = Serve.Server
 module Catalog = Serve.Catalog
@@ -293,23 +293,6 @@ let test_protocol_parse () =
   Alcotest.(check string) "one_line flattens" "a b c" (Protocol.one_line "a\nb\rc")
 
 (* ------------------------------------------------------------------ *)
-(* Admission control                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_admission () =
-  let a = Server.Admission.create 2 in
-  Alcotest.(check int) "capacity" 2 (Server.Admission.capacity a);
-  Alcotest.(check bool) "first" true (Server.Admission.try_acquire a);
-  Alcotest.(check bool) "second" true (Server.Admission.try_acquire a);
-  Alcotest.(check bool) "third shed" false (Server.Admission.try_acquire a);
-  Alcotest.(check int) "in flight" 2 (Server.Admission.in_flight a);
-  Server.Admission.release a;
-  Alcotest.(check bool) "slot freed" true (Server.Admission.try_acquire a);
-  Server.Admission.release a;
-  Server.Admission.release a;
-  Alcotest.(check int) "drained" 0 (Server.Admission.in_flight a)
-
-(* ------------------------------------------------------------------ *)
 (* End-to-end over real channels                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -426,22 +409,42 @@ let test_health_readiness () =
       | [] -> ()
       | lines -> Alcotest.failf "draining loop served %d lines" (List.length lines))
 
+(* In-process, the server counts a degraded answer from the evaluator's
+   own outcome; through a pool worker it reads the rendered line, whose
+   [degraded=nodes] must not pass for [degraded=no]. *)
 let test_serve_degradation_over_channel () =
   with_temp_dir (fun dir ->
       save (Filename.concat dir "db.ts") (Lazy.force synopsis_a);
-      let server = quiet_server dir in
-      match
-        session server
-          [
-            "QUERY -deadline=-1 db //movie[//actor]";
-            "ANSWER -max-nodes=1 db //movie";
-          ]
-      with
-      | [ query; answer ] ->
-        check_prefix "expired deadline degrades" "ok query degraded=deadline" query;
-        check_prefix "node cap truncates" "ok answer degraded=nodes" answer;
-        Alcotest.(check int) "degraded counted" 2 (Server.stats server).degraded
-      | lines -> Alcotest.failf "%d responses" (List.length lines))
+      let pooled =
+        {
+          Server.default_config with
+          pool = { Serve.Pool.default_config with workers = 1 };
+        }
+      in
+      List.iter
+        (fun (what, config) ->
+          let server = quiet_server ~config dir in
+          Fun.protect
+            ~finally:(fun () ->
+              ignore (Serve.Pool.shutdown (Server.pool server) : int))
+            (fun () ->
+              match
+                session server
+                  [
+                    "QUERY -deadline=-1 db //movie[//actor]";
+                    "ANSWER -max-nodes=1 db //movie";
+                  ]
+              with
+              | [ query; answer ] ->
+                check_prefix (what ^ ": expired deadline degrades")
+                  "ok query degraded=deadline" query;
+                check_prefix (what ^ ": node cap truncates")
+                  "ok answer degraded=nodes" answer;
+                Alcotest.(check int) (what ^ ": degraded counted") 2
+                  (Server.stats server).degraded
+              | lines ->
+                Alcotest.failf "%s: %d responses" what (List.length lines)))
+        [ ("in-process", Server.default_config); ("pooled", pooled) ])
 
 (* ------------------------------------------------------------------ *)
 (* Unix-socket front end                                               *)
@@ -881,8 +884,6 @@ let () =
         ] );
       ( "protocol",
         [ Alcotest.test_case "parse" `Quick test_protocol_parse ] );
-      ( "admission",
-        [ Alcotest.test_case "bounded in-flight" `Quick test_admission ] );
       ( "end-to-end",
         [
           Alcotest.test_case "catalog, corruption, hot reload" `Quick

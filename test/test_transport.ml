@@ -1,15 +1,19 @@
-(* The shared outbound transport: the line reader driven step by step
+(* The shared transport.  Outbound: the line reader driven step by step
    over socketpairs (every split of a short stream, pipelined lines, a
    deadline mid-line, both kinds of EOF), and end to end through the
    client and the coordinator against scripted servers: multi-MB
    ANSWER lines, EOF mapping, a send that must keep its deadline past
    the socket buffer, FETCH refused without desynchronizing the
    connection, a full listen backlog failing the dial, and a coordinator
-   that sleeps, not spins, while its sole replica is slow. *)
+   that sleeps, not spins, while its sole replica is slow.  Inbound:
+   bounded admission, the shed line a full server and a full
+   coordinator answer, a client that relays a shed its write lost to,
+   and a drain that cuts off a straggler. *)
 
 module Transport = Serve.Transport
 module Client = Serve.Client
 module Coordinator = Serve.Coordinator
+module Server = Serve.Server
 
 let with_temp_dir f =
   let dir = Filename.temp_file "tstransport" "" in
@@ -352,6 +356,202 @@ let test_fetch_refused () =
           Alcotest.(check string) "the next request is in sync" "pong"
             (ok "PING" (Client.request c "PING"))))
 
+(* ------------------------------------------------------------------ *)
+(* The inbound half: admission, shedding, drain                        *)
+(* ------------------------------------------------------------------ *)
+
+let test_admission () =
+  let a = Transport.Admission.create 2 in
+  Alcotest.(check int) "capacity" 2 (Transport.Admission.capacity a);
+  Alcotest.(check bool) "first" true (Transport.Admission.try_acquire a);
+  Alcotest.(check bool) "second" true (Transport.Admission.try_acquire a);
+  Alcotest.(check bool) "third shed" false (Transport.Admission.try_acquire a);
+  Alcotest.(check int) "in flight" 2 (Transport.Admission.in_flight a);
+  Transport.Admission.release a;
+  Alcotest.(check bool) "slot freed" true (Transport.Admission.try_acquire a);
+  Transport.Admission.release a;
+  Transport.Admission.release a;
+  Alcotest.(check int) "drained" 0 (Transport.Admission.in_flight a)
+
+(* A blocking connection to a listener that may still be starting, as
+   channels; a read that waits 5 s fails instead of hanging the suite. *)
+let dial path =
+  let rec go tries =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+    | exception Unix.Unix_error ((ENOENT | ECONNREFUSED), _, _) when tries > 0 ->
+      Unix.close fd;
+      Thread.delay 0.02;
+      go (tries - 1)
+  in
+  go 100
+
+let ask (_, ic, oc) line =
+  output_string oc (line ^ "\n");
+  flush oc;
+  input_line ic
+
+let expect_eof what (_, ic, _) =
+  match input_line ic with
+  | exception End_of_file -> ()
+  | line -> Alcotest.failf "%s: wanted EOF, read %S" what line
+  | exception Sys_error e -> Alcotest.failf "%s: wanted EOF, got %s" what e
+
+let hang_up (fd, _, _) = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* [f] runs while a served connection holds the listener's one slot. *)
+let with_slot_held path f =
+  let held = dial path in
+  Fun.protect
+    ~finally:(fun () -> hang_up held)
+    (fun () ->
+      Alcotest.(check string) "the held connection is served" "pong"
+        (ask held "PING");
+      f ())
+
+let shed_line = "error overloaded 1 connections already in flight"
+
+(* the next connection reads the shed line, then EOF *)
+let check_shed what path =
+  let shed = dial path in
+  Fun.protect
+    ~finally:(fun () -> hang_up shed)
+    (fun () ->
+      let _, ic, _ = shed in
+      Alcotest.(check string) (what ^ ": the shed line") shed_line (input_line ic);
+      expect_eof (what ^ " after the shed line") shed)
+
+let test_shed_server () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "shed.sock" in
+      let server =
+        Server.create ~log:ignore
+          ~config:{ Server.default_config with max_inflight = 1 }
+          dir
+      in
+      let th = Thread.create (fun () -> Server.serve_socket server ~path) () in
+      Fun.protect
+        ~finally:(fun () ->
+          Server.request_drain server;
+          Thread.join th)
+        (fun () ->
+          with_slot_held path (fun () ->
+              let errors () = (Server.stats server).errors in
+              let before = errors () in
+              check_shed "server" path;
+              Alcotest.(check int) "the shed counts as an error" (before + 1)
+                (errors ()))))
+
+let test_shed_coordinator () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "coord.sock" in
+      let coord =
+        Coordinator.create ~log:ignore
+          ~config:{ Coordinator.default_config with max_inflight = 1 }
+          [ Filename.concat dir "absent.sock" ]
+      in
+      let th = Thread.create (fun () -> Coordinator.serve_socket coord ~path) () in
+      Fun.protect
+        ~finally:(fun () ->
+          Coordinator.request_drain coord;
+          Thread.join th)
+        (fun () ->
+          with_slot_held path (fun () -> check_shed "coordinator" path)))
+
+(* A full listener in another process writes the shed line and closes
+   before the client's request lands (in one process the client thread
+   holds the runtime and writes first): the client must answer with the
+   shed line rather than report its failed write. *)
+let test_client_relays_shed () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "full.sock" in
+      match Unix.fork () with
+      | 0 ->
+        (try
+           let drain = Transport.drain_switch ~log:ignore in
+           Transport.install_drain_signals drain;
+           ignore
+             (Transport.serve_connections (Transport.listen path) drain
+                ~admission:(Transport.Admission.create 1) ~drain_deadline:0.5
+                (fun _ -> ("pong", false))
+               : int);
+           Unix._exit 0
+         with _ -> Unix._exit 99)
+      | pid ->
+        Fun.protect
+          ~finally:(fun () ->
+            Unix.kill pid Sys.sigterm;
+            ignore (Unix.waitpid [] pid : int * Unix.process_status))
+          (fun () ->
+            with_slot_held path (fun () ->
+                for i = 1 to 5 do
+                  let c = Client.create ~config:one_attempt [ path ] in
+                  Fun.protect
+                    ~finally:(fun () -> Client.close c)
+                    (fun () ->
+                      Alcotest.(check string)
+                        (Printf.sprintf "request %d relays the shed" i)
+                        shed_line
+                        (ok "PING" (Client.request c "PING")))
+                done)))
+
+(* The listener on its own: an idle connection and one whose request
+   outlives a 0.2 s drain deadline.  The drain must hand the idle one
+   EOF, cut the straggler off and count it, and return promptly. *)
+let test_drain_straggler () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "drain.sock" in
+      let drain = Transport.drain_switch ~log:ignore in
+      let slow_started = Atomic.make false in
+      let handle line =
+        if line = "SLOW" then begin
+          Atomic.set slow_started true;
+          Thread.delay 1.5
+        end;
+        (line, false)
+      in
+      let severed = Atomic.make (-1) in
+      let listener = Transport.listen path in
+      let th =
+        Thread.create
+          (fun () ->
+            Atomic.set severed
+              (Transport.serve_connections listener drain
+                 ~admission:(Transport.Admission.create 4) ~drain_deadline:0.2
+                 handle))
+          ()
+      in
+      let idle = dial path and slow = dial path in
+      Fun.protect
+        ~finally:(fun () ->
+          Transport.request_drain drain;
+          Thread.join th;
+          hang_up idle;
+          hang_up slow)
+        (fun () ->
+          Alcotest.(check string) "the idle connection is served" "hello"
+            (ask idle "hello");
+          let _, _, oc = slow in
+          output_string oc "SLOW\n";
+          flush oc;
+          let give_up = Unix.gettimeofday () +. 5.0 in
+          while (not (Atomic.get slow_started)) && Unix.gettimeofday () < give_up do
+            Thread.delay 0.01
+          done;
+          let t0 = Unix.gettimeofday () in
+          Transport.request_drain drain;
+          Thread.join th;
+          let elapsed = Unix.gettimeofday () -. t0 in
+          if elapsed > 0.7 then
+            Alcotest.failf "the drain took %.2fs with a 0.2s deadline" elapsed;
+          Alcotest.(check int) "one straggler severed" 1 (Atomic.get severed);
+          Alcotest.(check bool) "socket file unlinked" false (Sys.file_exists path);
+          expect_eof "the idle connection" idle;
+          expect_eof "the straggler" slow))
+
 let () =
   Alcotest.run "transport"
     [
@@ -378,5 +578,17 @@ let () =
           Alcotest.test_case "4 MiB answer" `Quick test_big_answer_coordinator;
           Alcotest.test_case "slow sole replica costs no CPU" `Quick
             test_coordinator_waits_idle;
+        ] );
+      ( "admission",
+        [ Alcotest.test_case "bounded in-flight" `Quick test_admission ] );
+      ( "listener",
+        [
+          Alcotest.test_case "a full server sheds" `Quick test_shed_server;
+          Alcotest.test_case "a full coordinator sheds" `Quick
+            test_shed_coordinator;
+          Alcotest.test_case "the client relays a shed" `Quick
+            test_client_relays_shed;
+          Alcotest.test_case "drain cuts off a straggler" `Quick
+            test_drain_straggler;
         ] );
     ]

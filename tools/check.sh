@@ -7,7 +7,7 @@
 #                                  # (ALCOTEST_QUICK_TESTS)
 #   tools/check.sh --stage NAME    # run one stage only (repeatable);
 #                                  # names: build, test, verify, client,
-#                                  # chaos,
+#                                  # coordinate, chaos,
 #                                  # pool-chaos, coordinator-chaos,
 #                                  # overload-chaos, scrub-chaos,
 #                                  # ingest-chaos, write-chaos,
@@ -163,6 +163,83 @@ stage_client() {
   rm -rf "$_dir"
 }
 
+# The coordinator CLI in front of a real `serve --socket`: PING, a QUERY
+# and a refused single-target INGEST answer through `treesketch client`;
+# with `--max-inflight 1` and a client REPL holding the one slot, a
+# second connection gets the shed line; SIGTERM drains both processes
+# to exit 0 with exactly one event=drained line in each log.
+stage_coordinate() {
+  dune build bin/treesketch.exe
+  _ts=_build/default/bin/treesketch.exe
+  _dir=$(mktemp -d)
+  _sock="$_dir/serve.sock"
+  _csock="$_dir/coord.sock"
+  "$_ts" datagen -d xmark --scale 0.05 -o "$_dir/doc.xml"
+  "$_ts" build "$_dir/doc.xml" --budget 2KB -o "$_dir/site.ts" >/dev/null
+  "$_ts" serve --catalog "$_dir" --socket "$_sock" >"$_dir/serve.log" 2>&1 &
+  _srv=$!
+  "$_ts" coordinate --socket "$_csock" -r "$_sock" --max-inflight 1 \
+    >"$_dir/coord.log" 2>&1 &
+  _crd=$!
+  _hold=
+  _fail() {
+    echo "coordinate: $1" >&2
+    [ -z "$_hold" ] || kill -KILL "$_hold" 2>/dev/null || true
+    kill -KILL "$_srv" "$_crd" 2>/dev/null || true
+    exit 1
+  }
+  _i=0
+  while [ ! -S "$_sock" ] || [ ! -S "$_csock" ]; do
+    _i=$((_i + 1))
+    [ "$_i" -le 100 ] || _fail "serve or coordinate never listened"
+    sleep 0.1
+  done
+  _ask() { "$_ts" client --socket "$_csock" "$@"; }
+  _r=$(_ask PING) || _fail "client PING exited non-zero"
+  echo "$_r"
+  [ "$_r" = pong ] || _fail "PING answered '$_r'"
+  _r=$(_ask QUERY site '//item') || _fail "client QUERY exited non-zero"
+  echo "$_r"
+  case "$_r" in "ok query "*) ;; *) _fail "QUERY answered '$_r'" ;; esac
+  _r=$(_ask INGEST site '<a/>') || _fail "client INGEST exited non-zero"
+  echo "$_r"
+  case "$_r" in
+    "error bad-request INGEST is single-target"*) ;;
+    *) _fail "INGEST answered '$_r'" ;;
+  esac
+  # the REPL dials on its first line and keeps the connection while the
+  # FIFO stays open for writing
+  mkfifo "$_dir/hold"
+  "$_ts" client --socket "$_csock" <"$_dir/hold" >"$_dir/hold.out" 2>&1 &
+  _hold=$!
+  exec 3>"$_dir/hold"
+  echo PING >&3
+  _i=0
+  until grep -qs '^pong$' "$_dir/hold.out"; do
+    _i=$((_i + 1))
+    [ "$_i" -le 100 ] || _fail "the held connection never answered"
+    sleep 0.1
+  done
+  _r=$(_ask --attempts 1 PING) || _fail "the shed client exited non-zero"
+  echo "$_r"
+  [ "$_r" = "error overloaded 1 connections already in flight" ] ||
+    _fail "a connection past --max-inflight 1 answered '$_r'"
+  exec 3>&-
+  wait "$_hold" || _fail "the held client exited non-zero"
+  _hold=
+  kill -TERM "$_crd" "$_srv"
+  for _p in "$_crd" "$_srv"; do
+    _rc=0
+    wait "$_p" || _rc=$?
+    [ "$_rc" -eq 0 ] || _fail "pid $_p exited $_rc after SIGTERM, want 0"
+  done
+  for _log in "$_dir/coord.log" "$_dir/serve.log"; do
+    [ "$(grep -c '^event=drained ' "$_log")" -eq 1 ] ||
+      { cat "$_log"; _fail "$_log must have exactly one event=drained line"; }
+  done
+  rm -rf "$_dir"
+}
+
 # The chaos harness on its own so its seed line and e2e tally are
 # visible in the CI log even though dune runtest already exercised it.
 # (No pipe: a pipe would mask the exit status under set -e.)
@@ -278,6 +355,7 @@ stage build              stage_build
 stage test               stage_test
 stage verify             stage_verify
 stage client             stage_client
+stage coordinate         stage_coordinate
 stage chaos              stage_chaos
 stage pool-chaos         stage_pool_chaos
 stage coordinator-chaos  stage_coordinator_chaos
