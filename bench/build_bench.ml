@@ -1,21 +1,25 @@
 (* Synopsis construction bench: build throughput and snapshot load.
 
-   The numbers ROADMAP item 1 still owed a committed baseline:
+   The fixture is XMark-TX (scale 9.0, about 105K elements) at a
+   32 KB budget, where TSBUILD does hundreds of merges and the timed
+   work outweighs timer and scheduler noise:
 
-   - stable:   BUILD_STABLE over a generated XMark document
-               (stable_build_s, and the headline nodes_per_sec =
-               document elements / build seconds);
+   - stable:   BUILD_STABLE over the generated document (stable_build_s,
+               and nodes_per_sec = document elements / build seconds);
    - compress: the bottom-up TREESKETCH compression of that summary to
-               a byte budget (compress_s);
+               the byte budget (compress_s, and merges_per_sec = merges
+               applied / compression seconds);
    - save/load: atomic snapshot serialization and the cold load a
                serving process pays per catalog entry (save_s, load_s,
                snapshot_bytes).
 
-   Results go to BENCH_build.json; --assert additionally fails the run
-   unless the compression met its budget un-degraded and the loaded
-   snapshot round-trips.  Absolute times are machine-bound, so the
-   regression gate compares nodes_per_sec against a committed baseline
-   as a FLOOR: fresh throughput must not fall below
+   The stable build and the compression are each timed over [repeats]
+   runs and reported as medians.  Results go to BENCH_build.json;
+   --assert additionally fails the run unless the compression met its
+   budget un-degraded and the loaded snapshot round-trips.  Absolute
+   times are machine-bound, so the regression gate compares
+   nodes_per_sec and merges_per_sec against a committed baseline as
+   FLOORS: a fresh rate must not fall below
    [baseline / (1 + tolerance)] (default tolerance 1.0, i.e. half the
    baseline — CI boxes are noisy).
 
@@ -40,8 +44,9 @@ let usage () =
   exit 2
 
 let out_path = ref "BENCH_build.json"
-let scale = ref 1.0
-let budget = ref 8192
+let scale = ref 9.0
+let budget = ref 32768
+let repeats = 5
 let assert_mode = ref false
 let baseline_path = ref None
 let tolerance = ref 1.0
@@ -108,30 +113,36 @@ let scrape_floats text key =
   done;
   List.rev !out
 
-let throughput text what =
-  match scrape_floats text "nodes_per_sec" with
+let rate text what key =
+  match scrape_floats text key with
   | r :: _ -> r
-  | [] -> failwith (Printf.sprintf "%s: cannot scrape nodes_per_sec" what)
+  | [] -> failwith (Printf.sprintf "%s: cannot scrape %s" what key)
 
 let check_baseline ~current path =
   let ic = open_in path in
   let n = in_channel_length ic in
   let baseline = really_input_string ic n in
   close_in ic;
-  let base = throughput baseline ("baseline " ^ path) in
-  let cur = throughput current "current run" in
-  let floor = base /. (1.0 +. !tolerance) in
-  Printf.printf
-    "build bench baseline: nodes_per_sec %.0f vs baseline %.0f (floor %.0f, \
-     tolerance %.0f%%)\n"
-    cur base floor (!tolerance *. 100.0);
-  if cur < floor then begin
-    Printf.eprintf
-      "FAIL: build throughput %.0f nodes/s fell below baseline %.0f / \
-       (1 + %.0f%%) (%s)\n"
-      cur base (!tolerance *. 100.0) path;
-    exit 1
-  end
+  let failed =
+    List.filter
+      (fun (key, unit) ->
+        let base = rate baseline ("baseline " ^ path) key in
+        let cur = rate current "current run" key in
+        let floor = base /. (1.0 +. !tolerance) in
+        Printf.printf
+          "build bench baseline: %s %.0f vs baseline %.0f (floor %.0f, \
+           tolerance %.0f%%)\n"
+          key cur base floor (!tolerance *. 100.0);
+        if cur < floor then begin
+          Printf.eprintf
+            "FAIL: %s %.0f %s fell below baseline %.0f / (1 + %.0f%%) (%s)\n" key
+            cur unit base (!tolerance *. 100.0) path;
+          true
+        end
+        else false)
+      [ ("nodes_per_sec", "nodes/s"); ("merges_per_sec", "merges/s") ]
+  in
+  if failed <> [] then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Harness                                                             *)
@@ -154,26 +165,37 @@ let unwrap what = function
   | Ok v -> v
   | Error f -> failwith (what ^ ": " ^ Xmldoc.Fault.to_string f)
 
+(* median of [repeats] timed runs of [f], with the last run's result *)
+let timed_median f =
+  let runs =
+    List.init repeats (fun _ ->
+        let t = Unix.gettimeofday () in
+        let r = f () in
+        (Unix.gettimeofday () -. t, r))
+  in
+  let times = List.sort Float.compare (List.map fst runs) in
+  (List.nth times (repeats / 2), snd (List.nth runs (repeats - 1)))
+
 let () =
   with_temp_dir @@ fun dir ->
   let tree = Datasets.generate ~seed ~scale:!scale Datasets.Xmark in
   let tree_nodes = Xmldoc.Tree.size tree in
-  (* stable summary: the linear pass whose throughput is the headline *)
-  let t = Unix.gettimeofday () in
-  let stable = Sketch.Stable.build tree in
-  let stable_build_s = Unix.gettimeofday () -. t in
+  let stable_build_s, stable = timed_median (fun () -> Sketch.Stable.build tree) in
   let nodes_per_sec =
     if stable_build_s > 0.0 then float_of_int tree_nodes /. stable_build_s
     else 0.0
   in
   let stable_nodes = Sketch.Synopsis.num_nodes stable in
-  (* compression to the byte budget *)
-  let t = Unix.gettimeofday () in
-  let outcome =
-    unwrap "compress" (Sketch.Build.build_res stable ~budget:!budget)
+  (* compression to the byte budget; every merge retires one class *)
+  let compress_s, outcome =
+    timed_median (fun () ->
+        unwrap "compress" (Sketch.Build.build_res stable ~budget:!budget))
   in
-  let compress_s = Unix.gettimeofday () -. t in
   let sketch_nodes = Sketch.Synopsis.num_nodes outcome.Sketch.Build.synopsis in
+  let merges = stable_nodes - sketch_nodes in
+  let merges_per_sec =
+    if compress_s > 0.0 then float_of_int merges /. compress_s else 0.0
+  in
   (* snapshot save + cold load *)
   let path = Filename.concat dir "bench.ts" in
   let t = Unix.gettimeofday () in
@@ -192,12 +214,15 @@ let () =
   "seed": %d,
   "scale": %g,
   "budget_bytes": %d,
+  "repeats": %d,
   "tree_nodes": %d,
   "stable_nodes": %d,
   "sketch_nodes": %d,
+  "merges": %d,
   "stable_build_s": %.4f,
   "nodes_per_sec": %.1f,
   "compress_s": %.4f,
+  "merges_per_sec": %.1f,
   "compress_degraded": %b,
   "save_s": %.5f,
   "load_s": %.5f,
@@ -205,18 +230,19 @@ let () =
   "load_round_trips": %b
 }
 |}
-      seed !scale !budget tree_nodes stable_nodes sketch_nodes stable_build_s
-      nodes_per_sec compress_s outcome.Sketch.Build.degraded save_s load_s
-      snapshot_bytes round_trips
+      seed !scale !budget repeats tree_nodes stable_nodes sketch_nodes merges
+      stable_build_s nodes_per_sec compress_s merges_per_sec
+      outcome.Sketch.Build.degraded save_s load_s snapshot_bytes round_trips
   in
   let oc = open_out !out_path in
   output_string oc json;
   close_out oc;
   Printf.printf
-    "build bench: %d elements -> stable %d nodes in %.3fs (%.0f nodes/s), \
-     compress %.3fs to %d nodes, save %.4fs load %.4fs (%d bytes) -> %s\n"
-    tree_nodes stable_nodes stable_build_s nodes_per_sec compress_s
-    sketch_nodes save_s load_s snapshot_bytes !out_path;
+    "build bench (medians of %d): %d elements -> stable %d nodes in %.3fs \
+     (%.0f nodes/s), compress %.3fs to %d nodes (%d merges, %.0f merges/s), \
+     save %.4fs load %.4fs (%d bytes) -> %s\n"
+    repeats tree_nodes stable_nodes stable_build_s nodes_per_sec compress_s
+    sketch_nodes merges merges_per_sec save_s load_s snapshot_bytes !out_path;
   if !assert_mode && (outcome.Sketch.Build.degraded || not round_trips)
   then begin
     Printf.eprintf "FAIL: degraded=%b round_trips=%b\n"

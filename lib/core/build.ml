@@ -27,15 +27,22 @@ let push_candidate cl heap ~heap_max u v =
    complete depth. *)
 let create_pool params cl =
   let heap : candidate Dheap.t = Dheap.create () in
-  (* group representatives by label *)
-  let groups : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
+  (* group representatives by label, the groups in label-string order:
+     interned label ids depend on the order a process first saw its
+     labels, and one document must give one synopsis in any process *)
+  let by_label : (Xmldoc.Label.t, int list ref) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun r ->
-      let key = Xmldoc.Label.to_int (Cluster.label cl r) in
-      match Hashtbl.find_opt groups key with
+      let key = Cluster.label cl r in
+      match Hashtbl.find_opt by_label key with
       | Some l -> l := r :: !l
-      | None -> Hashtbl.add groups key (ref [ r ]))
+      | None -> Hashtbl.add by_label key (ref [ r ]))
     (Cluster.alive_ids cl);
+  let groups =
+    Hashtbl.fold (fun key l acc -> (Xmldoc.Label.to_string key, l) :: acc) by_label []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> List.map snd
+  in
   let max_height =
     List.fold_left (fun acc r -> max acc (Cluster.height cl r)) 0 (Cluster.alive_ids cl)
   in
@@ -51,8 +58,8 @@ let create_pool params cl =
   let level = ref 0 in
   let continue_ = ref true in
   while !continue_ && !level <= max_height do
-    Hashtbl.iter
-      (fun _ group ->
+    List.iter
+      (fun group ->
         let eq = List.filter (fun r -> Cluster.height cl r = !level) !group in
         let lower = List.filter (fun r -> Cluster.height cl r < !level) !group in
         (* pair budget per (label, depth) group *)

@@ -36,6 +36,10 @@ type t = {
          is safe because cross-term-carrying collapses are applied
          eagerly at merge time. *)
   sqout : float array;  (* derived from [out], kept in sync *)
+  mutable merges : int;  (* merges applied so far *)
+  normalized : int array;
+      (* per representative: [merges] when its out map was last
+         normalized; only a merge can make a key stale *)
 }
 
 let stable t = t.stable
@@ -75,29 +79,31 @@ let alive_ids t =
    two live dimensions is handled eagerly during [merge]. *)
 let normalize t map =
   let stale = ref [] in
-  Hashtbl.iter (fun k _ -> if not (is_rep t k) then stale := k :: !stale) !map;
-  match !stale with
-  | [] -> ()
-  | stale ->
-    List.iter
-      (fun k ->
-        let st = Hashtbl.find !map k in
-        let k' = find t k in
-        Hashtbl.remove !map k;
-        (match Hashtbl.find_opt !map k' with
-        | Some dst ->
-          (* both keys were live when last written only if their merge's
-             cross term was already folded in; adding is then correct *)
-          dst.sum <- dst.sum +. st.sum;
-          dst.sumsq <- dst.sumsq +. st.sumsq
-        | None -> Hashtbl.add !map k' st))
-      stale
+  Hashtbl.iter (fun k _ -> if not (is_rep t k) then stale := k :: !stale) map;
+  List.iter
+    (fun k ->
+      let st = Hashtbl.find map k in
+      let k' = find t k in
+      Hashtbl.remove map k;
+      match Hashtbl.find_opt map k' with
+      | Some dst ->
+        (* both keys were live when last written only if their merge's
+           cross term was already folded in; adding is then correct *)
+        dst.sum <- dst.sum +. st.sum;
+        dst.sumsq <- dst.sumsq +. st.sumsq
+      | None -> Hashtbl.add map k' st)
+    !stale
 
+(* A map is walked for stale keys only when a merge has happened since
+   its last walk: the calls that still run are the same operations at
+   the same points of its history, so hashtable order is unchanged. *)
 let out_map t u =
-  let map = ref t.out.(u) in
-  normalize t map;
-  t.out.(u) <- !map;
-  t.out.(u)
+  let map = t.out.(u) in
+  if t.normalized.(u) <> t.merges then begin
+    normalize t map;
+    t.normalized.(u) <- t.merges
+  end;
+  map
 
 let sq_of_map n map =
   Hashtbl.fold
@@ -276,6 +282,7 @@ let merge t u v =
   t.inmap.(u) <- big;
   t.inmap.(v) <- Hashtbl.create 1;
   t.uf.(v) <- u;
+  t.merges <- t.merges + 1;
   t.members.(u) <- List.rev_append t.members.(v) t.members.(u);
   t.members.(v) <- [];
   t.count.(u) <- t.count.(u) +. t.count.(v);
@@ -330,6 +337,8 @@ let of_stable stable =
     sq = 0.;
     out;
     sqout = Array.make n 0.;
+    merges = 0;
+    normalized = Array.make n 0;
   }
 
 (* Reference recomputation from the stable summary — O(members * degree)

@@ -210,8 +210,10 @@ let spawn t job ~attempt =
     Error e
   | 0 ->
     (* In the child only this thread survives; never touch the parent's
-       locks or buffered channels, and leave through [Unix._exit] so no
-       inherited at_exit work (channel flushing above all) runs twice. *)
+       locks or buffered channels, drop its sockets, and leave through
+       [Unix._exit] so no inherited at_exit work (channel flushing above
+       all) runs twice. *)
+    Transport.close_inherited ();
     let code = match worker_main t job with code -> code | exception _ -> 125 in
     Unix._exit code
   | pid ->

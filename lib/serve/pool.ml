@@ -193,9 +193,11 @@ let spawn_u t w =
     List.iter Transport.close_quietly [ req_r; req_w; resp_r; resp_w ];
     raise e
   | 0 ->
-    (* Child: drop the parent's ends, and the parent-side pipes of
-       every sibling — otherwise a sibling holding a copy of our
-       request pipe's write end would keep us from ever seeing EOF. *)
+    (* Child: drop the parent's sockets and ends, and the parent-side
+       pipes of every sibling — otherwise a sibling holding a copy of
+       our request pipe's write end would keep us from ever seeing
+       EOF. *)
+    Transport.close_inherited ();
     Transport.close_quietly req_w;
     Transport.close_quietly resp_r;
     Array.iter

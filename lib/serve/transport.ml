@@ -246,7 +246,36 @@ module Admission = struct
   let capacity a = a.capacity
 end
 
-type listener = { sock : Unix.file_descr; path : string }
+(* The process-wide registry of every listener's socket and live
+   connections, each connection with its channels.  A child forked
+   without exec inherits all of them: {!close_inherited} closes the
+   descriptors, and the channels stay reachable from here, so the
+   child's GC never finalizes a channel whose lock a connection thread
+   held at the fork (that thread does not exist in the child, and
+   freeing a held lock aborts the process).  The list is immutable and
+   replaced whole under the lock, so the child reads it without the
+   lock.  An entry leaves before its descriptor is closed: a child must
+   never close a recycled descriptor number. *)
+type registered = {
+  fd : Unix.file_descr;
+  owner : int;  (* the listener it belongs to *)
+  channels : (in_channel * out_channel) option;  (* None: a listening socket *)
+}
+
+let registry_lock = Mutex.create ()
+let registry : registered list ref = ref []
+
+let register e = Mutex.protect registry_lock (fun () -> registry := e :: !registry)
+
+let unregister fd =
+  Mutex.protect registry_lock (fun () ->
+      registry := List.filter (fun e -> e.fd <> fd) !registry)
+
+let close_inherited () = List.iter (fun e -> close_quietly e.fd) !registry
+
+type listener = { sock : Unix.file_descr; path : string; id : int }
+
+let listener_ids = Atomic.make 0
 
 let listen path =
   (* A client that disconnects mid-response must surface as a
@@ -259,43 +288,40 @@ let listen path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   Unix.bind sock (Unix.ADDR_UNIX path);
   Unix.listen sock 64;
-  { sock; path }
+  let id = Atomic.fetch_and_add listener_ids 1 in
+  register { fd = sock; owner = id; channels = None };
+  { sock; path; id }
 
-let serve_connections { sock; path } d ~admission ~drain_deadline
+let serve_connections { sock; path; id } d ~admission ~drain_deadline
     ?(on_shed = ignore) handle =
   let log fmt = Printf.ksprintf d.log fmt in
-  (* Registry of live connection fds: drain shuts their receive sides
+  (* this listener's live connections: drain shuts their receive sides
      down so threads blocked in [input_line] see EOF and exit, while
-     responses still in flight go out on the untouched send sides. *)
-  let conn_lock = Mutex.create () in
-  let conns : (Unix.file_descr, unit) Hashtbl.t = Hashtbl.create 16 in
-  let register fd = Mutex.protect conn_lock (fun () -> Hashtbl.replace conns fd ()) in
-  let unregister fd = Mutex.protect conn_lock (fun () -> Hashtbl.remove conns fd) in
+     responses still in flight go out on the untouched send sides *)
   let live_conns () =
-    Mutex.protect conn_lock (fun () ->
-        Hashtbl.fold (fun fd () acc -> fd :: acc) conns [])
+    List.filter_map
+      (fun e -> if e.owner = id && Option.is_some e.channels then Some e.fd else None)
+      !registry
   in
-  let connection fd =
+  let connection (fd, ic, oc) =
     Fun.protect
       ~finally:(fun () ->
         Admission.release admission;
         unregister fd;
         close_quietly fd)
-      (fun () ->
-        serve_lines ~tap:path d handle (Unix.in_channel_of_descr fd)
-          (Unix.out_channel_of_descr fd))
+      (fun () -> serve_lines ~tap:path d handle ic oc)
   in
   let shed fd =
-    (* shed load immediately rather than tying up a thread *)
-    let oc = Unix.out_channel_of_descr fd in
-    (try
-       output_string oc
-         (Protocol.error_line ~cls:"overloaded"
-            (Printf.sprintf "%d connections already in flight"
-               (Admission.capacity admission))
-         ^ "\n");
-       flush oc
-     with Sys_error _ -> ());
+    (* shed load immediately rather than tying up a thread; a plain
+       write, so there is no channel for a forked child to inherit *)
+    let line =
+      Protocol.error_line ~cls:"overloaded"
+        (Printf.sprintf "%d connections already in flight"
+           (Admission.capacity admission))
+      ^ "\n"
+    in
+    (try ignore (Unix.write_substring fd line 0 (String.length line) : int)
+     with Unix.Unix_error _ -> ());
     on_shed ();
     close_quietly fd
   in
@@ -313,8 +339,9 @@ let serve_connections { sock; path } d ~admission ~drain_deadline
       | None -> ()
       | Some (fd, _) ->
         if Admission.try_acquire admission then begin
-          register fd;
-          ignore (Thread.create connection fd : Thread.t)
+          let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+          register { fd; owner = id; channels = Some (ic, oc) };
+          ignore (Thread.create connection (fd, ic, oc) : Thread.t)
         end
         else shed fd
       | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) ->
@@ -333,6 +360,7 @@ let serve_connections { sock; path } d ~admission ~drain_deadline
   accept_loop ();
   (* 1. Stop accepting: close and unlink the listening socket so new
      connects fail fast (clients fail over to the next server). *)
+  unregister sock;
   close_quietly sock;
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   log "event=draining inflight=%d deadline=%.1fs"

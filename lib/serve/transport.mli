@@ -130,6 +130,14 @@ val listen : string -> listener
     a peer hanging up mid-response fails a write instead of killing the
     process. *)
 
+val close_inherited : unit -> unit
+(** For a child forked without exec, first thing: [Unix.close] every
+    listening socket and accepted connection of this process's
+    listeners, so a client whose connection the parent closes sees EOF
+    while the child lives.  The connections' channels are not closed
+    (another thread may have held one's lock at the fork) and stay
+    reachable, so the child never finalizes them.  Takes no lock. *)
+
 val serve_connections :
   listener -> drain -> admission:Admission.t -> drain_deadline:float ->
   ?on_shed:(unit -> unit) -> (string -> string * bool) -> int
@@ -141,6 +149,6 @@ val serve_connections :
     <N> connections already in flight], closed, and [on_shed] called.
 
     The drain closes and unlinks the socket, logs [event=draining],
-    shuts down every connection's receive side, waits up to
-    [drain_deadline] for them to close, shuts down those still open
-    and returns how many there were. *)
+    shuts down the receive side of each of this listener's connections,
+    waits up to [drain_deadline] for them to close, shuts down those
+    still open and returns how many there were. *)

@@ -210,6 +210,125 @@ let test_sweep_budget_lists () =
       (Synopsis.num_nodes s_half >= Synopsis.num_nodes s1)
   | _ -> Alcotest.fail "expected four pairs back"
 
+(* ---------------- per-merge invariants ---------------- *)
+
+(* A complete TSBUILD of [stable] under [budget] that checks after
+   every merge that the incremental squared error agrees with its
+   recomputation from the stable summary (1e-9 relative) and that the
+   size bookkeeping agrees with the exported synopsis.  Returns the
+   merge count and the first violation, if any. *)
+let merge_violations stable ~budget =
+  let cl = Cluster.of_stable stable in
+  let merges = ref 0 and violation = ref None in
+  let on_merge () =
+    incr merges;
+    if !violation = None then begin
+      let direct = Cluster.sq_error_direct cl in
+      if not (T.feq direct (Cluster.sq_error cl)) then
+        violation :=
+          Some
+            (Printf.sprintf "merge %d: incremental sq %.12g, direct %.12g" !merges
+               (Cluster.sq_error cl) direct)
+      else
+        let exported = Synopsis.size_bytes (Cluster.to_synopsis cl) in
+        if exported <> Cluster.size_bytes cl then
+          violation :=
+            Some
+              (Printf.sprintf "merge %d: size bookkeeping %d, exported %d" !merges
+                 (Cluster.size_bytes cl) exported)
+    end
+  in
+  ignore
+    (Build.compress_ctl cl ~budget ~ctl:(Xmldoc.Budget.unlimited ()) ~on_merge : bool);
+  (!merges, !violation)
+
+let test_every_merge_consistent () =
+  let stable = Stable.build bigger_doc in
+  let merges, violation =
+    merge_violations stable ~budget:(Synopsis.size_bytes stable / 4)
+  in
+  Alcotest.(check bool) "merges happened" true (merges > 50);
+  Alcotest.(check (option string)) "every merge consistent" None violation
+
+let prop_every_merge_consistent =
+  T.qtest ~count:60 "every TSBUILD merge keeps sq error and size exact"
+    (T.arb_tree ()) (fun t ->
+      let stable = Stable.build t in
+      match merge_violations stable ~budget:(max 64 (Synopsis.size_bytes stable / 3)) with
+      | _, None -> true
+      | _, Some v -> QCheck.Test.fail_report v)
+
+(* ---------------- reproducibility ---------------- *)
+
+(* [doc] with every label renamed [prefix ^ name]; the renamed labels
+   are interned first, in ascending or descending name order. *)
+let relabeled ~prefix ~descending doc =
+  let names =
+    List.sort_uniq String.compare
+      (List.map Xmldoc.Label.to_string (Tree.distinct_labels doc))
+  in
+  List.iter
+    (fun n -> ignore (Xmldoc.Label.of_string (prefix ^ n) : Xmldoc.Label.t))
+    (if descending then List.rev names else names);
+  let rec go t =
+    Tree.make_arr
+      (Xmldoc.Label.of_string (prefix ^ Xmldoc.Label.to_string (Tree.label t)))
+      (Array.map go (Tree.children t))
+  in
+  go doc
+
+(* The synopsis with [prefix] cut off every label. *)
+let unprefixed prefix (s : Synopsis.t) =
+  let cut l =
+    let l = Xmldoc.Label.to_string l and n = String.length prefix in
+    Xmldoc.Label.of_string (String.sub l n (String.length l - n))
+  in
+  Synopsis.make ~root:s.Synopsis.root
+    (Array.map
+       (fun (node : Synopsis.node) -> { node with label = cut node.label })
+       s.Synopsis.nodes)
+
+(* Labels are interned process-wide, so two fresh label sets (the same
+   names under two prefixes of one length) stand for two processes
+   that met the document's labels in opposite orders. *)
+let test_interning_order_irrelevant () =
+  List.iter
+    (fun (name, doc, budget) ->
+      let build prefix ~descending =
+        Serialize.to_string
+          (unprefixed prefix
+             (Build.build_of_tree (relabeled ~prefix ~descending doc) ~budget))
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s at %d bytes" name budget)
+        (build "up-" ~descending:false)
+        (build "dn-" ~descending:true))
+    [
+      ("imdb", bigger_doc, 2048);
+      ("xmark", Datagen.Datasets.generate ~seed:7 ~scale:1.0 Datagen.Datasets.Xmark, 8192);
+      ("sprot", Datagen.Datasets.generate ~seed:7 ~scale:0.5 Datagen.Datasets.Sprot, 8192);
+    ]
+
+(* Pinned TSBUILD output: a change that moves one of these digests
+   changes what every caller builds, and says so by updating them. *)
+let test_golden_digests () =
+  List.iter
+    (fun (ds, scale, budget, expected) ->
+      let doc = Datagen.Datasets.generate ~seed:7 ~scale ds in
+      Alcotest.(check string)
+        (Printf.sprintf "%s x%g at %d bytes" (Datagen.Datasets.name ds) scale budget)
+        expected
+        (Crc32.to_hex
+           (Crc32.string (Serialize.to_string (Build.build_of_tree doc ~budget)))))
+    [
+      (Datagen.Datasets.Imdb, 0.2, 4096, "5a59beca");
+      (Datagen.Datasets.Imdb, 0.2, 8192, "1692240f");
+      (Datagen.Datasets.Xmark, 0.5, 4096, "a5c6d5a2");
+      (Datagen.Datasets.Xmark, 0.5, 8192, "c3127b41");
+      (Datagen.Datasets.Sprot, 0.2, 4096, "5a480470");
+      (Datagen.Datasets.Sprot, 0.2, 8192, "7b23b80e");
+    ]
+
 (* ---------------- degradation latency ---------------- *)
 
 (* The merge loop consults its control budget every [poll_period]
@@ -649,6 +768,11 @@ let () =
           prop_build_always_fits;
           prop_build_preserves_elements;
           prop_sq_error_monotone_in_budget;
+          Alcotest.test_case "every merge consistent" `Quick test_every_merge_consistent;
+          prop_every_merge_consistent;
+          Alcotest.test_case "interning order irrelevant" `Quick
+            test_interning_order_irrelevant;
+          Alcotest.test_case "golden digests" `Quick test_golden_digests;
         ] );
       ( "degradation",
         [

@@ -552,6 +552,134 @@ let test_drain_straggler () =
           expect_eof "the idle connection" idle;
           expect_eof "the straggler" slow))
 
+(* ------------------------------------------------------------------ *)
+(* Forked children and inherited connections                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A socket server in this process over [dir], drained when [f]
+   returns. *)
+let with_socket_server ?config dir f =
+  let path = Filename.concat dir "fork.sock" in
+  let server = Server.create ~log:ignore ?config dir in
+  let th = Thread.create (fun () -> Server.serve_socket server ~path) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.request_drain server;
+      Thread.join th)
+    (fun () -> f path)
+
+(* Client connections without channels: this thread, blocked in
+   [input_line] on a channel of its own while the server forks, would
+   leave that channel locked in the child just like a server
+   connection's. *)
+let connect_raw path =
+  let rec go tries =
+    match Transport.connect ~timeout:5.0 path with
+    | Ok fd -> (fd, Transport.reader fd)
+    | Error _ when tries > 0 ->
+      Thread.delay 0.02;
+      go (tries - 1)
+    | Error e -> Alcotest.failf "connect %s: %s" path e
+  in
+  go 100
+
+let ask_raw (fd, r) line =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  match
+    Result.bind (Transport.send fd (line ^ "\n") ~deadline) (fun () ->
+        Transport.read_line r ~deadline)
+  with
+  | Ok response -> response
+  | Error e -> Alcotest.failf "%s: %s" line (Transport.error_message e)
+
+(* While one connection's thread sits in [input_line] holding its
+   channel's lock, another connection's BUILD forks the job worker.
+   The channel is garbage in the child; a child that finalized it
+   would free a held lock and abort, every attempt. *)
+let test_build_beside_idle_connection () =
+  with_temp_dir (fun dir ->
+      let xml = Filename.concat dir "imdb.xml" in
+      Xmldoc.Printer.to_file xml
+        (Datagen.Datasets.generate ~seed:7 ~scale:1.0 Datagen.Datasets.Imdb);
+      with_socket_server dir (fun path ->
+          let idle = connect_raw path and builder = connect_raw path in
+          Fun.protect
+            ~finally:(fun () ->
+              Transport.close_quietly (fst idle);
+              Transport.close_quietly (fst builder))
+            (fun () ->
+              Alcotest.(check string) "the idle connection is served" "pong"
+                (ask_raw idle "PING");
+              Alcotest.(check string) "build accepted"
+                "ok build name=imdb state=running"
+                (ask_raw builder (Printf.sprintf "BUILD imdb %s 32KB" xml));
+              let give_up = Unix.gettimeofday () +. 60.0 in
+              let rec poll () =
+                let jobs = ask_raw builder "JOBS" in
+                if
+                  Unix.gettimeofday () < give_up
+                  && not
+                       (List.exists
+                          (fun w -> List.mem w [ "imdb=done"; "imdb=failed" ])
+                          (String.split_on_char ' ' jobs))
+                then begin
+                  Thread.delay 0.05;
+                  poll ()
+                end
+                else jobs
+              in
+              Alcotest.(check string) "the build ends done" "ok jobs n=1 imdb=done"
+                (poll ()))))
+
+(* A pool worker respawned from one connection's thread must not keep
+   another connection open: after QUIT, that client sees EOF at once. *)
+let test_quit_eof_after_respawn () =
+  with_temp_dir (fun dir ->
+      (match
+         Sketch.Serialize.save_atomic (Filename.concat dir "db.ts")
+           (Sketch.Stable.build (Xmldoc.Parser.of_string "<db><a/><b><a/></b></db>"))
+       with
+      | Ok () -> ()
+      | Error f -> Alcotest.failf "save: %s" (Xmldoc.Fault.to_string f));
+      let config =
+        {
+          Server.default_config with
+          pool =
+            {
+              Serve.Pool.default_config with
+              workers = 1;
+              backoff_base = 0.01;
+              chaos_marker = Some "CHAOS";
+            };
+        }
+      in
+      with_socket_server ~config dir (fun path ->
+          let first = connect_raw path and second = connect_raw path in
+          Fun.protect
+            ~finally:(fun () ->
+              Transport.close_quietly (fst first);
+              Transport.close_quietly (fst second))
+            (fun () ->
+              Alcotest.(check string) "first served" "pong" (ask_raw first "PING");
+              let crashed = ask_raw second "QUERY db //CHAOS:exit" in
+              Alcotest.(check (option string)) "the worker dies"
+                (Some "worker-crash") (Serve.Protocol.error_class crashed);
+              (* the next query respawns the worker from this thread *)
+              let answered = ask_raw second "QUERY db //a" in
+              Alcotest.(check bool)
+                (Printf.sprintf "respawned worker answers (%S)" answered)
+                true
+                (String.starts_with ~prefix:"ok query" answered);
+              Alcotest.(check string) "bye" "bye" (ask_raw first "QUIT");
+              match
+                Transport.read_line (snd first) ~deadline:(Unix.gettimeofday () +. 1.0)
+              with
+              | Error `Closed -> ()
+              | Error e ->
+                Alcotest.failf "wanted EOF within 1s of bye, got %s"
+                  (Transport.error_message e)
+              | Ok line -> Alcotest.failf "wanted EOF, read %S" line)))
+
 let () =
   Alcotest.run "transport"
     [
@@ -590,5 +718,12 @@ let () =
             test_client_relays_shed;
           Alcotest.test_case "drain cuts off a straggler" `Quick
             test_drain_straggler;
+        ] );
+      ( "fork",
+        [
+          Alcotest.test_case "a BUILD beside an idle connection" `Quick
+            test_build_beside_idle_connection;
+          Alcotest.test_case "QUIT sees EOF after a pool respawn" `Quick
+            test_quit_eof_after_respawn;
         ] );
     ]
